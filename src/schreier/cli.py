@@ -12,8 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
-import os
 import sys
 from fractions import Fraction
 
@@ -21,41 +19,6 @@ from . import __version__, families, ordinals, ravg, spaces, weaknull
 from .families import (EnumerationLimitError, ProbeLimitError,
                        family_from_spec, set_from_cli)
 from .jsonio import canonical, frac_str, parse_arg_json, value_json
-
-CACHE_ENV = "SCHREIER_CACHE_DIR"
-CACHE_CAP = 20000  # memo entries persisted per hierarchy stage
-
-
-def _cache_path(cache_dir: str) -> str:
-    return os.path.join(cache_dir, "membership-cache.json")
-
-
-def _load_membership_cache(cache_dir: str) -> None:
-    try:
-        with open(_cache_path(cache_dir), "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (FileNotFoundError, json.JSONDecodeError):
-        return
-    for xi_text, entries in data.items():
-        try:
-            fam = families.schreier_family(ordinals.parse(xi_text))
-        except ordinals.OrdinalError:
-            continue
-        for e, value in entries:
-            fam._memo.setdefault(tuple(e), bool(value))
-
-
-def _save_membership_cache(cache_dir: str) -> None:
-    data = {}
-    for xi, fam in families._SCHREIER_NODES.items():
-        if fam._memo:
-            entries = sorted(fam._memo.items())[:CACHE_CAP]
-            data[ordinals.fmt(xi)] = [[list(e), v] for e, v in entries]
-    if not data:
-        return
-    os.makedirs(cache_dir, exist_ok=True)
-    with open(_cache_path(cache_dir), "w", encoding="utf-8") as fh:
-        json.dump(data, fh, sort_keys=True)
 
 
 class UsageError(Exception):
@@ -398,9 +361,6 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    cache_dir = os.environ.get(CACHE_ENV)
-    if cache_dir:
-        _load_membership_cache(cache_dir)
     try:
         args = parser.parse_args(argv)
         code = args.func(args)
@@ -414,8 +374,6 @@ def main(argv=None) -> int:
     except (ProbeLimitError, EnumerationLimitError) as exc:
         print(f"bound exhausted: {exc}", file=sys.stderr)
         return 3
-    if cache_dir:
-        _save_membership_cache(cache_dir)
     return code
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable, Iterator
 
 from . import ordinals
@@ -53,9 +54,10 @@ class LazySet:
     """A strictly increasing infinite subset of N, memoized by prefix.
 
     Elements are pulled one at a time and cached; ``consumed`` reports how
-    much of the stream has been materialized.  Derived streams (``drop``,
-    ``remove_finite``) read through their parent, so a probe guard placed
-    on the root bounds every view of it.  The cache is lock-guarded.
+    much of the stream has been materialized.  Stream operations read by
+    position through ``value``; derived streams (``drop``, ``remove_finite``)
+    read through their parent, so a probe guard placed on the root bounds
+    every view of it.  The cache is lock-guarded.
     """
 
     def __init__(self, it: Iterator[int], describe: str = "stream",
@@ -242,19 +244,12 @@ def set_from_cli(text: str) -> LazySet:
 class Family:
     """A hereditary, spreading family given by a grammar node.
 
-    Membership is memoized per node.  Nodes are immutable; caches only
-    grow, so concurrent readers are safe under the GIL.
+    ``contains`` is the single membership entry point; node types implement
+    ``_contains``.  Nodes are immutable.
     """
 
-    def __init__(self):
-        self._memo: dict[FinSet, bool] = {}
-
     def contains(self, e: FinSet) -> bool:
-        e = tuple(e)
-        hit = self._memo.get(e)
-        if hit is None:
-            hit = self._memo[e] = self._contains(e)
-        return hit
+        return self._contains(tuple(e))
 
     def __contains__(self, e) -> bool:
         return self.contains(tuple(e))
@@ -271,9 +266,10 @@ class Family:
     def __repr__(self):
         return f"<Family {self.spec()}>"
 
-    # Structure-aware maximal initial segment; None means "use the generic
-    # grow-and-test fallback".  Callers hold the probe guard.
-    def _fast_max_segment(self, m: LazySet) -> FinSet | None:
+    # Structure-aware maximal initial segment of m from 0-based position
+    # ``start`` on; None means "use the generic grow-and-test fallback".
+    # Callers hold the probe guard.
+    def _fast_max_segment(self, m: LazySet, start: int) -> FinSet | None:
         return None
 
     # Whether the node type guarantees closure under spreads (images and
@@ -329,7 +325,6 @@ class Adm(Family):
     """Sets of cardinality at most n."""
 
     def __init__(self, n: int):
-        super().__init__()
         if n < 0:
             raise ValueError("cardinality bound must be >= 0")
         self.n = n
@@ -346,10 +341,82 @@ class Adm(Family):
     def spec(self) -> dict:
         return {"type": "adm", "n": self.n}
 
-    def _fast_max_segment(self, m: LazySet) -> FinSet:
+    def _fast_max_segment(self, m: LazySet, start: int) -> FinSet:
         if self.n == 0:
             raise ValueError("family has no nonempty members")
-        return m.prefix(self.n)
+        return m.prefix(start + self.n)[start:]
+
+
+def _stage_parts(xi: Ordinal) -> tuple[Ordinal | None, int]:
+    """xi as (limit part, finite part); the limit part of a finite stage is
+    None, so finite stages are carried as plain ints."""
+    terms = xi.terms
+    if terms and terms[-1][0].is_zero:
+        return (Ordinal(terms[:-1]) if len(terms) > 1 else None), terms[-1][1]
+    return (xi if terms else None), 0
+
+
+def _walk(xi: Ordinal, at: Callable[[int], int | None], start: int,
+          weights: dict[int, Fraction] | None = None,
+          cutoff: int | None = None) -> tuple[int, bool]:
+    """The greedy maximal S_xi segment of a sequence from position start.
+
+    ``at(i)`` is the sequence's element at 0-based position i, or None past
+    the end of a finite sequence.  Returns (length, closed): ``closed``
+    means the segment is maximal; otherwise the sequence ended (or its next
+    value exceeded ``cutoff``) after ``length`` elements, all of which lie
+    in one S_xi set.  With ``weights`` given, each point of the segment is
+    mapped to its repeated-averages weight: a successor stage averages its
+    child blocks uniformly.
+
+    Stage 0 takes one point; a successor stage chains min(segment) child
+    segments; a limit stage delegates to fs(lam, min) + 1.  A stage is
+    carried as limit part plus finite part, so successor steps are integer
+    decrements.  The walk keeps an explicit stack of frames [child stage's
+    limit part, its finite part, blocks left, child weight], so its depth
+    is bounded by memory, not by the recursion limit.
+    """
+    lam, k = _stage_parts(xi)
+    weight = Fraction(1) if weights is not None else None
+    stack: list[list] = []
+    pos = start
+    v = at(pos)
+    while True:
+        if v is None or (cutoff is not None and v > cutoff):
+            return pos - start, False
+        if k:
+            # the first child segment starts at the same point
+            k -= 1
+            if weights is not None:
+                weight = weight / v
+            stack.append([lam, k, v, weight])
+        elif lam is not None:
+            # delegate to fs(lam, v) + 1
+            lam, k = _stage_parts(ordinals.fund_seq(lam, v))
+            k += 1
+        else:
+            if weights is not None:
+                weights[v] = weight
+            pos += 1
+            while stack:
+                frame = stack[-1]
+                frame[2] -= 1
+                if frame[2]:
+                    break
+                stack.pop()
+            else:
+                return pos - start, True
+            lam, k, _, weight = frame
+            v = at(pos)
+
+
+def _stream_at(m: LazySet) -> Callable[[int], int]:
+    """0-based reader over m that serves materialized elements directly."""
+    cache, value = m._cache, m.value
+
+    def at(i: int) -> int:
+        return cache[i] if i < len(cache) else value(i + 1)
+    return at
 
 
 class Schreier(Family):
@@ -360,43 +427,18 @@ class Schreier(Family):
     previous stage; membership strips greedy maximal prefixes, which agrees
     with exhaustive decomposition search on these spreading levels.  At a
     limit the stage delegates to fs(lam, min E) + 1 along the canonical
-    fundamental sequence.
+    fundamental sequence.  Membership and stream segments share one walk.
     """
 
     def __init__(self, xi: Ordinal):
-        super().__init__()
         self.xi = xi
 
     def is_spreading_by_construction(self) -> bool:
         return True
 
-    def _child_successor(self) -> "Schreier":
-        return schreier_family(ordinals.successor_part(self.xi))
-
-    def _child_limit(self, n: int) -> "Schreier":
-        return schreier_family(ordinals.add(ordinals.fund_seq(self.xi, n), ONE))
-
     def _contains(self, e: FinSet) -> bool:
-        if not e:
-            return True
-        if self.xi.is_zero:
-            return len(e) <= 1
-        if self.xi.is_limit:
-            return self._child_limit(e[0]).contains(e)
-        child = self._child_successor()
-        blocks = 0
-        i, n = 0, len(e)
-        while i < n:
-            j = i + 1
-            while j < n and child.contains(e[i:j + 1]):
-                j += 1
-            if not child.contains(e[i:j]):
-                return False
-            blocks += 1
-            if blocks > e[0]:
-                return False
-            i = j
-        return True
+        n = len(e)
+        return _walk(self.xi, lambda i: e[i] if i < n else None, 0)[0] == n
 
     def cb_index(self) -> CBIndex:
         return CBIndex(ordinals.add(ordinals.omega_pow(self.xi), ONE))
@@ -404,55 +446,40 @@ class Schreier(Family):
     def spec(self) -> dict:
         return {"type": "schreier", "xi": ordinals.fmt(self.xi)}
 
-    def _fast_max_segment(self, m: LazySet) -> FinSet:
-        if self.xi.is_zero:
-            return m.prefix(1)
-        if self.xi.is_limit:
-            p = m.value(1)
-            return self._child_limit(p)._fast_max_segment(m)
-        child = self._child_successor()
-        p = m.value(1)
-        consumed = 0
-        out: list[int] = []
-        for _ in range(p):
-            block = child._fast_max_segment(m.drop(consumed))
-            out.extend(block)
-            consumed += len(block)
-        return tuple(out)
-
-
-_SCHREIER_NODES: dict[Ordinal, Schreier] = {}
-_ADM_NODES: dict[int, Adm] = {}
+    def _fast_max_segment(self, m: LazySet, start: int) -> FinSet:
+        length, _ = _walk(self.xi, _stream_at(m), start)
+        return m.prefix(start + length)[start:]
 
 
 def schreier_family(xi: Ordinal) -> Schreier:
-    """Interned hierarchy node (so membership caches are shared)."""
-    node = _SCHREIER_NODES.get(xi)
-    if node is None:
-        node = _SCHREIER_NODES[xi] = Schreier(xi)
-    return node
+    """The hierarchy node at stage xi."""
+    return Schreier(xi)
 
 
 def adm_family(n: int) -> Adm:
-    node = _ADM_NODES.get(n)
-    if node is None:
-        node = _ADM_NODES[n] = Adm(n)
-    return node
+    return Adm(n)
 
 
 class Compose(Family):
     """F[G]: unions of consecutive G-blocks whose minima form an F-set."""
 
     def __init__(self, outer: Family, inner: Family):
-        super().__init__()
         self.outer = outer
         self.inner = inner
+        # The split search is exponential; the table lives with this node.
+        self._memo: dict[FinSet, bool] = {}
 
     def is_spreading_by_construction(self) -> bool:
         return self.outer.is_spreading_by_construction() and \
             self.inner.is_spreading_by_construction()
 
     def _contains(self, e: FinSet) -> bool:
+        hit = self._memo.get(e)
+        if hit is None:
+            hit = self._memo[e] = self._search(e)
+        return hit
+
+    def _search(self, e: FinSet) -> bool:
         if isinstance(self.outer, EmptyFamily) or isinstance(self.inner, EmptyFamily):
             return False
         if not e:
@@ -492,19 +519,19 @@ class Compose(Family):
         return {"type": "compose", "outer": self.outer.spec(),
                 "inner": self.inner.spec()}
 
-    def _fast_max_segment(self, m: LazySet) -> FinSet:
+    def _fast_max_segment(self, m: LazySet, start: int) -> FinSet:
         inner, outer = self.inner, self.outer
-        boundaries = [0]
+        boundaries = [start]
 
         def minima():
             while True:
-                block = _max_segment(m.drop(boundaries[-1]), inner)
+                block = _max_segment(m, inner, boundaries[-1])
                 boundaries.append(boundaries[-1] + len(block))
                 yield block[0]
 
         mins_stream = LazySet(minima(), "block-minima", root=m.root)
         k = len(_max_segment(mins_stream, outer))
-        return m.prefix(boundaries[k])
+        return m.prefix(boundaries[k])[start:]
 
 
 class Image(Family):
@@ -512,7 +539,6 @@ class Image(Family):
 
     def __init__(self, fam: Family, mset: LazySet,
                  probe_limit: int = DEFAULT_PROBE_LIMIT):
-        super().__init__()
         self.fam = fam
         self.mset = mset
         self.probe_limit = probe_limit
@@ -542,7 +568,6 @@ class Preimage(Family):
 
     def __init__(self, fam: Family, mset: LazySet,
                  probe_limit: int = DEFAULT_PROBE_LIMIT):
-        super().__init__()
         self.fam = fam
         self.mset = mset
         self.probe_limit = probe_limit
@@ -563,20 +588,19 @@ class Preimage(Family):
         return {"type": "preimage", "family": self.fam.spec(),
                 "set": {"kind": "opaque", "describe": self.mset.describe}}
 
-    def _fast_max_segment(self, m: LazySet) -> FinSet:
+    def _fast_max_segment(self, m: LazySet, start: int) -> FinSet:
         mset = self.mset
         translated = LazySet.from_function(
-            lambda i: mset.value(m.value(i)), "translated")
+            lambda i: mset.value(m.value(start + i)), "translated")
         with mset.probe_guard(self.probe_limit):
             k = len(_max_segment(translated, self.fam))
-        return m.prefix(k)
+        return m.prefix(start + k)[start:]
 
 
 class UnionFamily(Family):
     """Union of two families."""
 
     def __init__(self, left: Family, right: Family):
-        super().__init__()
         self.left = left
         self.right = right
 
@@ -645,18 +669,19 @@ def is_maximal(e, fam: Family) -> bool:
     return not fam.contains(e + (e[-1] + 1,))
 
 
-def _max_segment(m: LazySet, fam: Family) -> FinSet:
-    fast = fam._fast_max_segment(m)
+def _max_segment(m: LazySet, fam: Family, start: int = 0) -> FinSet:
+    """The maximal initial segment of m's elements from position start on."""
+    fast = fam._fast_max_segment(m, start)
     if fast is not None:
         return fast
     k = 1
     while True:
-        e = m.prefix(k)
+        e = m.prefix(start + k)[start:]
         if not fam.contains(e):
             raise ValueError(
                 f"prefix {e} left the family before a maximal initial "
                 "segment was found; the family is not nice on this range")
-        if not fam.contains(e + (m.value(k + 1),)):
+        if not fam.contains(e + (m.value(start + k + 1),)):
             return e
         k += 1
 
@@ -679,7 +704,7 @@ def partition_blocks(m: LazySet, fam: Family, count: int,
     consumed = 0
     with m.probe_guard(probe_limit):
         for _ in range(count):
-            block = _max_segment(m.drop(consumed), fam)
+            block = _max_segment(m, fam, consumed)
             blocks.append(block)
             consumed += len(block)
     return blocks
@@ -712,7 +737,7 @@ def feasible_depth(m: LazySet, fam: Family, max_depth: int,
     with m.probe_guard(budget):
         for r in range(max_depth):
             try:
-                block = _max_segment(m.drop(consumed), fam)
+                block = _max_segment(m, fam, consumed)
             except ProbeLimitError:
                 return r
             consumed += len(block)

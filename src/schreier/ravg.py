@@ -16,9 +16,9 @@ from typing import Callable
 
 from . import families, ordinals
 from .families import (Family, FinSet, LazySet, DEFAULT_PROBE_LIMIT,
-                       EnumerationLimitError, partition_blocks,
-                       partition_indices, schreier_family)
-from .ordinals import Ordinal, ONE
+                       EnumerationLimitError, _stream_at, _walk,
+                       partition_blocks, partition_indices, schreier_family)
+from .ordinals import Ordinal
 
 
 @dataclass(frozen=True)
@@ -67,88 +67,42 @@ class Measure:
             {int(k): Fraction(s) for k, s in data["weights"]})
 
 
-def _stage_one(xi: Ordinal, m: LazySet) -> dict[int, Fraction]:
-    """First measure of stage xi on m; support is the first partition block."""
-    if xi.is_zero:
-        return {m.value(1): Fraction(1)}
-    if xi.is_limit:
-        p = m.value(1)
-        stage = ordinals.add(ordinals.fund_seq(xi, p), ONE)
-        return _stage_one(stage, m)
-    child = ordinals.successor_part(xi)
-    p = m.value(1)
-    acc: dict[int, Fraction] = {}
-    consumed = 0
-    inv = Fraction(1, p)
-    for _ in range(p):
-        w = _stage_one(child, m.drop(consumed))
-        for k, v in w.items():
-            acc[k] = acc.get(k, Fraction(0)) + v * inv
-        consumed += len(w)
-    return acc
-
-
 def ravg_measure(xi: Ordinal, m: LazySet, n: int,
                  probe_limit: int = DEFAULT_PROBE_LIMIT) -> Measure:
     """The n-th repeated-averages measure of stage xi on m.
 
-    Deleting the supports of earlier measures and re-deriving the first
-    measure realizes the shift axiom by construction.  m.consumed reports
+    The support is the n-th stage-xi partition block, and each successor
+    stage averages its child blocks uniformly, so skipping the earlier
+    blocks realizes the shift axiom by construction.  m.consumed reports
     the materialized prefix afterwards.
     """
     if n < 1:
         raise ValueError("measure index must be >= 1")
     with m.probe_guard(probe_limit):
-        consumed = 0
+        at, start = _stream_at(m), 0
         for _ in range(n - 1):
-            consumed += len(_stage_one(xi, m.drop(consumed)))
-        return Measure.from_dict(_stage_one(xi, m.drop(consumed)))
-
-
-def _stage_one_restricted(xi: Ordinal, m: LazySet, cutoff: int):
-    """Weights of the first stage-xi measure at points <= cutoff.
-
-    Returns (weights, closed, consumed): ``closed`` means the full support
-    was located and spans ``consumed`` stream elements; otherwise every
-    unexplored element exceeds the cutoff, so later siblings vanish under
-    restriction and block boundaries need never be materialized.
-    """
-    v1 = m.value(1)
-    if v1 > cutoff:
-        return {}, False, 0
-    if xi.is_zero:
-        return {v1: Fraction(1)}, True, 1
-    if xi.is_limit:
-        stage = ordinals.add(ordinals.fund_seq(xi, v1), ONE)
-        return _stage_one_restricted(stage, m, cutoff)
-    child = ordinals.successor_part(xi)
-    p = v1
-    inv = Fraction(1, p)
-    acc: dict[int, Fraction] = {}
-    consumed = 0
-    for _ in range(p):
-        w, closed, c = _stage_one_restricted(child, m.drop(consumed), cutoff)
-        for k, v in w.items():
-            acc[k] = acc.get(k, Fraction(0)) + v * inv
-        if not closed:
-            return acc, False, consumed
-        consumed += c
-    return acc, True, consumed
+            start += _walk(xi, at, start)[0]
+        weights: dict[int, Fraction] = {}
+        _walk(xi, at, start, weights)
+        return Measure.from_dict(weights)
 
 
 def ravg_total_restricted(xi: Ordinal, m: LazySet, cutoff: int,
                           probe_limit: int = DEFAULT_PROBE_LIMIT) -> dict[int, Fraction]:
-    """Pointwise sum over all block indices of stage-xi weights <= cutoff."""
+    """Pointwise sum over all block indices of stage-xi weights <= cutoff.
+
+    Blocks are disjoint, so the sum collects each block's weights; the walk
+    stops at the first value above the cutoff, since every later point's
+    weight vanishes under restriction.
+    """
     totals: dict[int, Fraction] = {}
     with m.probe_guard(probe_limit):
-        consumed = 0
+        at, start = _stream_at(m), 0
         while True:
-            w, closed, c = _stage_one_restricted(xi, m.drop(consumed), cutoff)
-            for k, v in w.items():
-                totals[k] = totals.get(k, Fraction(0)) + v
+            length, closed = _walk(xi, at, start, totals, cutoff)
             if not closed:
                 return totals
-            consumed += c
+            start += length
 
 
 # ---------------------------------------------------------------------------

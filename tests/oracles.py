@@ -16,32 +16,48 @@ from schreier.simplex import solve_lp
 from schreier.spaces import combine
 
 
-def brute_schreier_member(level: int, e: tuple, _memo={}) -> bool:
-    """Finite-stage membership by exhaustive decomposition search."""
-    key = (level, e)
+def _consecutive_splits(e: tuple):
+    """Every split of a nonempty e into consecutive nonempty blocks."""
+    n = len(e)
+    for cuts in itertools.product((0, 1), repeat=n - 1):
+        blocks = []
+        start = 0
+        for i, c in enumerate(cuts, start=1):
+            if c:
+                blocks.append(e[start:i])
+                start = i
+        blocks.append(e[start:])
+        yield blocks
+
+
+def brute_ordinal_member(xi, e: tuple, _memo={}) -> bool:
+    """Membership at any ordinal stage by exhaustive decomposition search.
+
+    A limit stage delegates to fs(xi, min E) + 1; a successor stage tries
+    every split into at most min E consecutive previous-stage blocks.
+    """
+    key = (xi, e)
     if key in _memo:
         return _memo[key]
     if not e:
         result = True
-    elif level == 0:
+    elif xi.is_zero:
         result = len(e) <= 1
+    elif xi.is_limit:
+        result = brute_ordinal_member(
+            ordinals.add(ordinals.fund_seq(xi, e[0]), ordinals.ONE), e)
     else:
-        result = False
-        n = len(e)
-        for cuts in itertools.product((0, 1), repeat=n - 1):
-            blocks = []
-            start = 0
-            for i, c in enumerate(cuts, start=1):
-                if c:
-                    blocks.append(e[start:i])
-                    start = i
-            blocks.append(e[start:])
-            if len(blocks) <= e[0] and all(
-                    brute_schreier_member(level - 1, b) for b in blocks):
-                result = True
-                break
+        child = ordinals.successor_part(xi)
+        result = any(len(blocks) <= e[0] and
+                     all(brute_ordinal_member(child, b) for b in blocks)
+                     for blocks in _consecutive_splits(e))
     _memo[key] = result
     return result
+
+
+def brute_schreier_member(level: int, e: tuple) -> bool:
+    """Finite-stage membership by exhaustive decomposition search."""
+    return brute_ordinal_member(ordinals.from_int(level), e)
 
 
 def brute_schreier_norm(fam, x) -> Fraction:

@@ -76,6 +76,12 @@ def test_norm_eval_and_quotient(capsys):
     assert code == 0
     result = artifact(out)
     assert result["value"]["exact"] == "2/1"
+    # stage w^2 with min E = 30 used to overflow the recursion limit
+    code, out, _ = run(capsys, "norm", "eval", "--engine",
+                       '{"kind":"schreier","xi":"w^2"}', "--vector",
+                       '{"coords":[[30,"1"],[31,"1"],[33,"1"]]}')
+    assert code == 0
+    assert artifact(out)["value"]["exact"] == "3/1"
     code, out, _ = run(capsys, "norm", "eval", "--engine", '{"kind":"ell1"}',
                        "--vector", '{"coords":[]}')
     assert artifact(out)["value"]["exact"] == "0/1"
@@ -182,20 +188,6 @@ def test_certify_spreading_csv_margin_table(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "set,signs,margin"
     assert len(lines) > 3
-
-
-def test_membership_cache_env(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("SCHREIER_CACHE_DIR", str(tmp_path))
-    code, out, _ = run(capsys, "family", "enum", "--spec",
-                       '{"type":"schreier","xi":"1"}', "--n", "4")
-    assert code == 0
-    cache = tmp_path / "membership-cache.json"
-    assert cache.exists()
-    data = json.loads(cache.read_text())
-    assert [[2, 3], True] in data["1"]
-    code, out, _ = run(capsys, "family", "enum", "--spec",
-                       '{"type":"schreier","xi":"1"}', "--n", "4")
-    assert code == 0 and artifact(out)["count"] == 8
 
 
 def test_enumeration_bound_exit_code(capsys):

@@ -16,7 +16,7 @@ from schreier.families import (Compose, EmptyFamily, EmptySetOnly,
                                truncation_maximal)
 
 from conftest import sample_lazy_sets
-from oracles import brute_schreier_member
+from oracles import brute_ordinal_member, brute_schreier_member
 
 S0 = schreier_family(o.ZERO)
 S1 = schreier_family(o.ONE)
@@ -39,6 +39,12 @@ def test_membership_examples():
     assert is_member((3, 4, 5), S2)
     assert not is_member((1, 2), S1)
     assert not is_member((), EmptyFamily())
+    # |E| <= min E splits into singleton blocks at the first successor
+    # step, so E is a member at every stage >= 1; the walk down these
+    # fundamental sequences stays off the recursion limit
+    for xi, e in (("w+1", (30, 31, 33)), ("w*2", (40, 45, 50, 60)),
+                  ("w^2", (60, 61, 62))):
+        assert is_member(e, schreier_family(o.parse(xi))), (xi, e)
 
 
 def test_stage_zero_is_singletons():
@@ -121,6 +127,9 @@ def test_feasible_depth_caps_hyperexponential_blocks():
     assert d == 3  # blocks {1},{2..7},{8..2047}; the fourth needs ~2048*2^2048
     assert feasible_depth(LazySet.naturals(),
                           schreier_family(o.parse("w^2")), 5, budget=2000) == 1
+    # blocks {1},{2..2047}; the third starts at 2048 at stage 2049
+    assert feasible_depth(LazySet.naturals(), schreier_family(o.OMEGA), 8,
+                          budget=5000) == 2
 
 
 # -- composition, image, preimage ---------------------------------------------
@@ -365,31 +374,16 @@ def test_fast_max_segment_agrees_with_generic_probe():
 def test_limit_stage_membership_matches_finite_delegation():
     """Limit stages delegate to the finite stage picked by the minimum."""
     s_omega = schreier_family(o.OMEGA)
-    s_omega1 = schreier_family(o.parse("w+1"))
     for e in all_subsets(9):
         if not e:
             assert s_omega.contains(e)
             continue
         assert s_omega.contains(e) == brute_schreier_member(e[0] + 1, e), e
-
-    def brute_omega_plus_one(e):
-        if not e:
-            return True
-        n = len(e)
-        for cuts in itertools.product((0, 1), repeat=n - 1):
-            blocks, start = [], 0
-            for i, c in enumerate(cuts, start=1):
-                if c:
-                    blocks.append(e[start:i])
-                    start = i
-            blocks.append(e[start:])
-            if len(blocks) <= e[0] and all(
-                    brute_schreier_member(b[0] + 1, b) for b in blocks):
-                return True
-        return False
-
-    for e in all_subsets(8):
-        assert s_omega1.contains(e) == brute_omega_plus_one(e), e
+    for xi in ("w+1", "w*2", "w^2"):
+        stage = o.parse(xi)
+        fam = schreier_family(stage)
+        for e in all_subsets(9):
+            assert fam.contains(e) == brute_ordinal_member(stage, e), (xi, e)
 
 
 def test_lazyset_concurrent_readers():
