@@ -64,10 +64,14 @@ def min_convex(inst: Instance, f, signs=None, max_rounds: int = 500,
 
     Exact engines: cutting planes with an exact LP; terminates because the
     engine draws certificates from finitely many admissible configurations
-    on a fixed support and each round adds a violated one.  The returned
-    coefficients are the lexicographically smallest optimal vertex of the
-    final relaxation.  Non-exact engines fall back to a grid search with a
-    reported gap bound.
+    on a fixed support and each round adds a violated one.  Every
+    relaxation is solved with e_1, ..., e_k as tie-breaking objectives, so
+    its candidate is the lexicographically smallest of its optima.  Cuts are
+    valid lower bounds, so each relaxation's optima contain the true ones;
+    when the bound closes, the candidate is a true optimum and hence the
+    lexicographically smallest minimizer, which is returned without a
+    separate refinement.  Non-exact engines fall back to a grid search with
+    a reported gap bound.
     """
     f = check_finset(f)
     if not f:
@@ -98,6 +102,7 @@ def min_convex(inst: Instance, f, signs=None, max_rounds: int = 500,
 
     for v in vecs:
         add_cert(inst.engine.norm(v)[1])
+    units = [[Fraction(int(i == j)) for j in range(k + 1)] for i in range(k)]
 
     rounds = 0
     while True:
@@ -108,7 +113,8 @@ def min_convex(inst: Instance, f, signs=None, max_rounds: int = 500,
         b_ub = [Fraction(0)] * len(a_ub)
         a_eq = [[Fraction(1)] * k + [Fraction(0)]]
         x, t_star = solve_lp([Fraction(0)] * k + [Fraction(1)],
-                             a_ub, b_ub, a_eq, [Fraction(1)])
+                             a_ub, b_ub, a_eq, [Fraction(1)],
+                             tiebreak=units)
         coeffs = tuple(x[:k])
         y = combine(vecs, coeffs)
         value, cert = inst.engine.norm(y)
@@ -118,44 +124,8 @@ def min_convex(inst: Instance, f, signs=None, max_rounds: int = 500,
             raise RuntimeError("stalled cut: certificate already present "
                                "but the bound did not close")
 
-    coeffs = _lex_refine(inst, vecs, rows, fingerprints, value, support,
-                         max_rounds)
     return MinConvexResult(value=value, coefficients=coeffs, exact=True,
                            rounds=rounds)
-
-
-def _lex_refine(inst, vecs, rows, fingerprints, v_star, support,
-                max_rounds: int) -> tuple:
-    """Lexicographically smallest coefficient vector among the optima."""
-    k = len(vecs)
-    for _ in range(max_rounds):
-        fixed: list[Fraction] = []
-        for pos in range(k):
-            a_ub = [row + [] for row in rows]
-            b_ub = [v_star] * len(rows)
-            a_eq = [[Fraction(1)] * k]
-            b_eq = [Fraction(1)]
-            for i, val in enumerate(fixed):
-                unit = [Fraction(0)] * k
-                unit[i] = Fraction(1)
-                a_eq.append(unit)
-                b_eq.append(val)
-            c = [Fraction(0)] * k
-            c[pos] = Fraction(1)
-            x, _ = solve_lp(c, a_ub, b_ub, a_eq, b_eq)
-            fixed.append(x[pos])
-        y = combine(vecs, fixed)
-        value, cert = inst.engine.norm(y)
-        if value == v_star:
-            return tuple(fixed)
-        # the relaxation admitted a point below the true norm: cut and retry
-        base = [cert.coefficient(key) for key in support]
-        for sgn in (1, -1):
-            fp = tuple(sgn * c for c in base)
-            if fp not in fingerprints:
-                fingerprints.add(fp)
-                rows.append([sgn * cert.evaluate(v) for v in vecs])
-    raise RuntimeError("lexicographic refinement did not converge")
 
 
 def _min_convex_grid(inst, vecs, denominator: int) -> MinConvexResult:

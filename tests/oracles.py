@@ -3,7 +3,8 @@
 These deliberately avoid the library's optimized paths: decompositions are
 searched exhaustively, norms are maximized by full enumeration, and convex
 minima come from a one-shot LP over the complete dual description plus
-grid search.  Slow and simple on purpose.
+grid search, solved by a dense tableau of its own that recomputes every
+reduced cost and updates every entry.  Slow and simple on purpose.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import itertools
 from fractions import Fraction
 
 from schreier import ordinals
-from schreier.simplex import solve_lp
+from schreier.simplex import LPError
 from schreier.spaces import combine
 
 
@@ -180,14 +181,127 @@ def all_forests(max_nodes: int):
     return result
 
 
-def full_dual_min_convex(engine, vectors, f, signs=None) -> Fraction:
-    """Exact convex minimum via one LP over the complete dual description.
+def _reference_pivot(tableau, basis, row: int, col: int):
+    piv = tableau[row][col]
+    tableau[row] = [v / piv for v in tableau[row]]
+    for r, line in enumerate(tableau):
+        if r != row and line[col]:
+            factor = line[col]
+            tableau[r] = [v - factor * w for v, w in zip(line, tableau[row])]
+    basis[row] = col
 
-    Enumerates every admissible-set-and-sign functional of the engine on
-    the combined support, so no cutting loop is involved.
+
+def _reference_run(tableau, basis, cost, allowed, ncols):
+    """Optimize the tableau in place; cost is indexed by column."""
+    m = len(basis)
+    while True:
+        # reduced costs under the current basis
+        reduced = list(cost)
+        for r in range(m):
+            cb = cost[basis[r]]
+            if cb:
+                row = tableau[r]
+                for j in range(ncols):
+                    reduced[j] -= cb * row[j]
+        enter = -1
+        for j in range(ncols):
+            if allowed[j] and reduced[j] < 0:
+                enter = j
+                break
+        if enter < 0:
+            value = Fraction(0)
+            for r in range(m):
+                value += cost[basis[r]] * tableau[r][ncols]
+            return value
+        leave, best = -1, None
+        for r in range(m):
+            coef = tableau[r][enter]
+            if coef > 0:
+                ratio = tableau[r][ncols] / coef
+                if best is None or ratio < best or \
+                        (ratio == best and basis[r] < basis[leave]):
+                    leave, best = r, ratio
+        if leave < 0:
+            raise LPError("linear program is unbounded")
+        _reference_pivot(tableau, basis, leave, enter)
+
+
+def reference_solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()):
+    """Two-phase dense Bland simplex: (x, value) minimizing c.x.
+
+    Raises LPError when the program is infeasible or unbounded, or when an
+    inequality row has a negative right-hand side.
     """
-    signs = signs or (1,) * len(f)
-    vecs = [vectors[i - 1].scale(s) for i, s in zip(f, signs)]
+    n = len(c)
+    m1, m2 = len(a_ub), len(a_eq)
+    ncols = n + m1 + m2
+    tableau = []
+    basis = []
+    for i, (row, b) in enumerate(zip(a_ub, b_ub)):
+        b = Fraction(b)
+        if b < 0:
+            raise LPError("rows must be normalized to nonnegative rhs")
+        line = [Fraction(v) for v in row] + [Fraction(0)] * (m1 + m2)
+        line[n + i] = Fraction(1)
+        line.append(b)
+        tableau.append(line)
+        basis.append(n + i)
+    for i, (row, b) in enumerate(zip(a_eq, b_eq)):
+        b = Fraction(b)
+        if b < 0:
+            row = [-Fraction(v) for v in row]
+            b = -b
+        line = [Fraction(v) for v in row] + [Fraction(0)] * (m1 + m2)
+        line[n + m1 + i] = Fraction(1)
+        line.append(b)
+        tableau.append(line)
+        basis.append(n + m1 + i)
+
+    allowed = [True] * ncols
+    if m2:
+        phase1 = [Fraction(0)] * ncols
+        for j in range(n + m1, ncols):
+            phase1[j] = Fraction(1)
+        value = _reference_run(tableau, basis, phase1, allowed, ncols)
+        if value != 0:
+            raise LPError("linear program is infeasible")
+        # pivot surviving artificials out or leave them at zero, but never
+        # let them re-enter
+        for j in range(n + m1, ncols):
+            allowed[j] = False
+        for r in range(len(basis)):
+            if basis[r] >= n + m1:
+                for j in range(n + m1):
+                    if tableau[r][j]:
+                        _reference_pivot(tableau, basis, r, j)
+                        break
+
+    cost = [Fraction(v) for v in c] + [Fraction(0)] * (m1 + m2)
+    value = _reference_run(tableau, basis, cost, allowed, ncols)
+    x = [Fraction(0)] * n
+    for r, b in enumerate(basis):
+        if b < n:
+            x[b] = tableau[r][ncols]
+    return x, value
+
+
+def reference_sequential_lex(objectives, a_ub=(), b_ub=(), a_eq=(), b_eq=()):
+    """Minimize each objective in turn, fixing the optimal values of the
+    objectives before it by equality rows; returns (x, values)."""
+    a_eq, b_eq = list(a_eq), list(b_eq)
+    values = []
+    x = None
+    for objective in objectives:
+        x, value = reference_solve_lp(objective, a_ub, b_ub, a_eq, b_eq)
+        values.append(value)
+        a_eq.append(list(objective))
+        b_eq.append(value)
+    return x, values
+
+
+def _full_dual_rows(engine, vecs) -> list:
+    """Every admissible-set-and-sign functional of the engine, evaluated on
+    vecs, over their combined support."""
     support = sorted({k for v in vecs for k in v.support})
     rows = []
     kind = engine.spec()["kind"]
@@ -206,13 +320,47 @@ def full_dual_min_convex(engine, vectors, f, signs=None) -> Fraction:
             functional = dict(zip(e, sgn_pattern))
             rows.append([sum(Fraction(functional.get(k, 0)) * v[k]
                              for k in e) for v in vecs])
-    k = len(f)
+    return rows
+
+
+def _signed(vectors, f, signs) -> list:
+    signs = signs or (1,) * len(f)
+    return [vectors[i - 1].scale(s) for i, s in zip(f, signs)]
+
+
+def _full_dual_value(rows, k: int) -> Fraction:
     a_ub = [row + [Fraction(-1)] for row in rows]
     b_ub = [Fraction(0)] * len(rows)
     a_eq = [[Fraction(1)] * k + [Fraction(0)]]
-    _, value = solve_lp([Fraction(0)] * k + [Fraction(1)],
-                        a_ub, b_ub, a_eq, [Fraction(1)])
+    _, value = reference_solve_lp([Fraction(0)] * k + [Fraction(1)],
+                                  a_ub, b_ub, a_eq, [Fraction(1)])
     return value
+
+
+def full_dual_min_convex(engine, vectors, f, signs=None) -> Fraction:
+    """Exact convex minimum via one LP over the complete dual description.
+
+    Enumerates every admissible-set-and-sign functional of the engine on
+    the combined support, so no cutting loop is involved.
+    """
+    return _full_dual_value(_full_dual_rows(engine, _signed(vectors, f, signs)),
+                            len(f))
+
+
+def reference_lex_min_convex(engine, vectors, f, signs=None) -> tuple:
+    """Lexicographically smallest minimizer of the convex minimum.
+
+    Over the complete dual description capped at the optimal value v*,
+    minimizes each coefficient in turn by its own LP, with equality rows
+    fixing the coefficients before it.
+    """
+    rows = _full_dual_rows(engine, _signed(vectors, f, signs))
+    k = len(f)
+    v_star = _full_dual_value(rows, k)
+    units = [[Fraction(int(i == j)) for j in range(k)] for i in range(k)]
+    x, _ = reference_sequential_lex(units, rows, [v_star] * len(rows),
+                                    [[Fraction(1)] * k], [Fraction(1)])
+    return tuple(x)
 
 
 def grid_min(engine, vectors, f, signs=None, max_denominator=6) -> Fraction:

@@ -109,6 +109,27 @@ def test_certify_spreading_exit_codes(capsys):
     assert not artifact(out)["passed"]
 
 
+def test_certify_spreading_pins_lex_min_argmin(capsys):
+    # overlapping supports; the worst set has more than one minimizer, and
+    # the artifact reports the lexicographically smallest
+    vectors = json.dumps([
+        {"coords": [[3, "-2"], [5, "-3"], [6, "-1"]]},
+        {"coords": [[1, "-2"], [3, "-3"], [4, "-1"]]},
+        {"coords": [[2, "1"], [4, "1"], [6, "-1"]]},
+        {"coords": [[4, "-1"], [5, "-1"], [7, "-1"]]},
+        {"coords": [[2, "1"], [3, "-1"], [7, "-2"]]},
+        {"coords": [[1, "1"], [3, "-2"], [7, "-2"]]}])
+    code, out, _ = run(capsys, "certify", "spreading", "--engine",
+                       '{"kind":"schreier","xi":"1"}', "--vectors", vectors,
+                       "--xi", "1", "--eps", "1/2", "--n", "5")
+    assert code == 0
+    result = artifact(out)
+    assert result["worst_set"] == [3, 4, 5]
+    assert result["worst_signs"] == [1, 1, -1]
+    assert result["worst_margin"] == "1/2"
+    assert result["argmin_coefficients"] == ["1/4", "1/2", "1/4"]
+
+
 def test_certify_dichotomy(capsys):
     vectors = json.dumps([{"coords": [[k, "1"]]} for k in range(1, 13)])
     code, out, _ = run(capsys, "certify", "dichotomy", "--engine",

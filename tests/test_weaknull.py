@@ -12,7 +12,7 @@ from schreier.weaknull import (Instance, dichotomy_search, f_membership,
                                spreading_certificate)
 
 from conftest import random_vector
-from oracles import full_dual_min_convex, grid_min
+from oracles import full_dual_min_convex, grid_min, reference_lex_min_convex
 
 HALF = Fraction(1, 2)
 S1E = SchreierEngine(o.ONE)
@@ -63,6 +63,17 @@ def test_min_convex_matches_full_dual_oracle(rng):
             got = min_convex(inst, f)
             want = full_dual_min_convex(inst.engine, inst.vectors, f)
             assert got.value == want, (inst.engine.spec(), f)
+
+
+def test_min_convex_coefficients_are_lex_min(rng):
+    for inst in small_instances(rng):
+        for f in itertools.chain(itertools.combinations(range(1, 6), 2),
+                                 itertools.combinations(range(1, 6), 3)):
+            for signs in (None, tuple((-1) ** i for i in range(len(f)))):
+                got = min_convex(inst, f, signs).coefficients
+                want = reference_lex_min_convex(inst.engine, inst.vectors,
+                                                f, signs)
+                assert got == want, (inst.engine.spec(), f, signs)
 
 
 def test_min_convex_below_grid_and_matches_vertices(rng):
