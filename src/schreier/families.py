@@ -427,7 +427,17 @@ class Schreier(Family):
     previous stage; membership strips greedy maximal prefixes, which agrees
     with exhaustive decomposition search on these spreading levels.  At a
     limit the stage delegates to fs(lam, min E) + 1 along the canonical
-    fundamental sequence.  Membership and stream segments share one walk.
+    fundamental sequence.
+
+    The greedy walk is also exposed as a persistent cursor: ``start()`` is
+    the state of the empty set and ``step(state, v)`` the state after
+    appending v > max E to a member E, or None when that extension closes
+    (is maximal).  A member E extends by any v > max E iff its state is not
+    None.  A state is the pending stage (limit part, finite part) plus an
+    immutable linked stack of frames (child limit part, child finite part,
+    blocks left, rest), so a search branch shares its parent's state and a
+    step costs O(1) amortized.  Membership folds ``step``; stream segments
+    and repeated-averages weights use the bulk walk ``_walk``.
     """
 
     def __init__(self, xi: Ordinal):
@@ -436,9 +446,40 @@ class Schreier(Family):
     def is_spreading_by_construction(self) -> bool:
         return True
 
+    def start(self) -> tuple:
+        """The cursor state of the empty set."""
+        lam, k = _stage_parts(self.xi)
+        return lam, k, None
+
+    @staticmethod
+    def step(state: tuple, v: int) -> tuple | None:
+        """The cursor state after appending v; None once the set closes."""
+        lam, k, stack = state
+        while True:
+            if k:
+                # the first child block starts at v
+                k -= 1
+                stack = (lam, k, v, stack)
+            elif lam is not None:
+                # delegate to fs(lam, v) + 1
+                lam, k = _stage_parts(ordinals.fund_seq(lam, v))
+                k += 1
+            else:
+                break
+        while stack is not None:
+            lam, k, left, rest = stack
+            if left > 1:
+                return lam, k, (lam, k, left - 1, rest)
+            stack = rest
+        return None
+
     def _contains(self, e: FinSet) -> bool:
-        n = len(e)
-        return _walk(self.xi, lambda i: e[i] if i < n else None, 0)[0] == n
+        state, step = self.start(), self.step
+        for v in e:
+            if state is None:
+                return False
+            state = step(state, v)
+        return True
 
     def cb_index(self) -> CBIndex:
         return CBIndex(ordinals.add(ordinals.omega_pow(self.xi), ONE))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import families, ordinals
-from .families import Family, LazySet, schreier_family, set_from_spec
+from .families import LazySet, Schreier, schreier_family, set_from_spec
 from .ordinals import Ordinal, ONE
 
 
@@ -186,8 +186,17 @@ class SupEngine(NormEngine):
 class SchreierEngine(NormEngine):
     """Max over admissible sets of the restricted absolute sum.
 
-    Branch-and-bound over subsets of the support, pruning by hereditary
-    membership and by the optimistic remaining-mass bound.
+    Branch-and-bound over subsets of the support in key order, pruning by
+    the optimistic remaining-mass bound.  Each node carries the family's
+    membership cursor (``Schreier.start``/``step``): a chosen set extends by
+    the next key iff its cursor state is not None, so a closed set ends its
+    branch, and a branch shares its parent's state.  Masses |x_k| are
+    scaled by the lcm of their denominators, so the search adds and
+    compares ints.  An explicit stack of nodes bounds depth by memory, not
+    by the recursion limit; each node pushes its exclude child and then its
+    include child, so the include branch is searched first.  That order
+    decides which set the certificate names when several sets attain the
+    maximum: the first to strictly improve the running best.
     """
 
     kind = "schreier"
@@ -198,30 +207,38 @@ class SchreierEngine(NormEngine):
 
     def norm(self, x: Vector):
         self._check_keys(x)
-        items = [(k, abs(v)) for k, v in x.coords]
-        n = len(items)
-        tail = [Fraction(0)] * (n + 1)
+        keys = x.support
+        scale = math.lcm(*(v.denominator for _, v in x.coords))
+        mass = [abs(v.numerator) * (scale // v.denominator)
+                for _, v in x.coords]
+        n = len(keys)
+        tail = [0] * (n + 1)
         for i in range(n - 1, -1, -1):
-            tail[i] = tail[i + 1] + items[i][1]
-        best = Fraction(0)
-        best_set: tuple = ()
-        fam = self.family
-
-        def rec(i: int, chosen: tuple, cur: Fraction):
-            nonlocal best, best_set
+            tail[i] = tail[i + 1] + mass[i]
+        best = 0
+        best_chosen = None
+        step = self.family.step
+        # nodes: (next index, cursor state, sum, chosen keys as a linked list)
+        stack = [(0, self.family.start(), 0, None)]
+        while stack:
+            i, state, cur, chosen = stack.pop()
             if cur > best:
-                best, best_set = cur, chosen
-            if i == n or cur + tail[i] <= best:
-                return
-            ext = chosen + (items[i][0],)
-            if fam.contains(ext):
-                rec(i + 1, ext, cur + items[i][1])
-            rec(i + 1, chosen, cur)
-
-        rec(0, (), Fraction(0))
-        coeffs = {k: _sign(x[k]) for k in best_set}
-        return best, DualCert(coeffs, meta={"kind": self.kind,
-                                            "set": best_set})
+                best, best_chosen = cur, chosen
+            # a closed set only excludes from here on, so its sum stays put
+            if state is None or i == n or cur + tail[i] <= best:
+                continue
+            stack.append((i + 1, state, cur, chosen))
+            stack.append((i + 1, step(state, keys[i]), cur + mass[i],
+                          (keys[i], chosen)))
+        picked = []
+        while best_chosen is not None:
+            k, best_chosen = best_chosen
+            picked.append(k)
+        best_set = tuple(reversed(picked))
+        vals = dict(x.coords)
+        coeffs = {k: _sign(vals[k]) for k in best_set}
+        return Fraction(best, scale), DualCert(
+            coeffs, meta={"kind": self.kind, "set": best_set})
 
     def spec(self) -> dict:
         return {"kind": "schreier", "xi": ordinals.fmt(self.xi)}
@@ -460,9 +477,9 @@ class ZEngine(NormEngine):
         self.tolerance = tolerance
         self.max_iter = max_iter
         self._omega_xi = ordinals.omega_pow(xi)
-        self._level_cache: dict[int, Family] = {}
+        self._level_cache: dict[int, Schreier] = {}
 
-    def level_family(self, n: int) -> Family:
+    def level_family(self, n: int) -> Schreier:
         fam = self._level_cache.get(n)
         if fam is None:
             stage = ordinals.add(ordinals.fund_seq(self._omega_xi, n), ONE)
@@ -595,35 +612,37 @@ class ZEngine(NormEngine):
         return {"value": top[0], "err": top[1], "minima": top[2],
                 "parts": top[3], "bound": [b[0] for b in best]}
 
-    def _best_split(self, x: Vector, positions, i: int, j: int, fam: Family,
+    def _best_split(self, x: Vector, positions, i: int, j: int, fam: Schreier,
                     bound, levels: int, memo: dict):
         """Best admissible splitting into strict subruns.
 
         Parts are runs of consecutive support points; the part minima must
         form a stage set.  The full single run is excluded (it is the
         self-referential term of the fixed point).  Depth-first search with
-        the unconstrained optimum as pruning bound.
+        the unconstrained optimum as pruning bound; the part minima are
+        carried as the stage family's membership cursor.
         """
         best = [0.0, 0.0, []]
+        step = fam.step
 
-        def rec(pos: int, mins: tuple, cur: float, err: float, parts: list):
+        def rec(pos: int, state, cur: float, err: float, parts: list):
             if cur > best[0]:
                 best[0], best[1], best[2] = cur, err, list(parts)
             if pos > j or cur + bound[pos - i] <= best[0]:
                 return
-            new_mins = mins + (positions[pos],)
-            if fam.contains(new_mins):
+            if state is not None:
+                new_state = step(state, positions[pos])
                 for b in range(pos, j + 1):
                     if pos == i and b == j:
                         continue
                     child = self._eval_run(x, positions, pos, b, levels, memo)
                     parts.append((pos, b))
-                    rec(b + 1, new_mins, cur + child["t"],
+                    rec(b + 1, new_state, cur + child["t"],
                         err + child["err"], parts)
                     parts.pop()
-            rec(pos + 1, mins, cur, err, parts)
+            rec(pos + 1, state, cur, err, parts)
 
-        rec(i, (), 0.0, 0.0, [])
+        rec(i, fam.start(), 0.0, 0.0, [])
         return best[0], best[1], best[2]
 
 

@@ -73,6 +73,18 @@ def brute_schreier_norm(fam, x) -> Fraction:
     return best
 
 
+def brute_stage_norm(xi, x) -> Fraction:
+    """The S_xi norm by full enumeration, with membership decided by
+    exhaustive decomposition search instead of the library's walk."""
+    items = [(k, abs(v)) for k, v in x.coords]
+    best = Fraction(0)
+    for r in range(len(items) + 1):
+        for combo in itertools.combinations(items, r):
+            if brute_ordinal_member(xi, tuple(k for k, _ in combo)):
+                best = max(best, sum((w for _, w in combo), Fraction(0)))
+    return best
+
+
 def tree_segments(nodes) -> list[tuple]:
     """All (top, bottom) chains in a prefix-closed node set."""
     nodes = sorted(nodes)

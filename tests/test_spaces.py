@@ -12,7 +12,7 @@ from schreier.spaces import (ExEngine, L1Engine, MixedEngine, SchreierEngine,
                              engine_from_spec, lower_l1_margin)
 
 from conftest import random_vector
-from oracles import brute_schreier_norm, brute_tree_norm
+from oracles import brute_schreier_norm, brute_stage_norm, brute_tree_norm
 
 L1, SUP = L1Engine(), SupEngine()
 S1E = SchreierEngine(o.ONE)
@@ -110,6 +110,76 @@ def test_schreier_two_matches_bruteforce(rng):
     for _ in range(40):
         x = random_vector(rng, range(1, 13), max_support=6)
         assert s2.value(x) == brute_schreier_norm(s2.family, x)
+
+
+def test_schreier_norm_matches_decomposition_oracle(rng):
+    """Against an oracle whose membership is exhaustive decomposition
+    search, not the cursor the engine steps."""
+    # the oracle recurses once per stage it passes through, so limit
+    # stages keep their keys (which pick the stage) small
+    for xi, top in (("0", 18), ("3", 18), ("w", 12), ("w+1", 12),
+                    ("w^2", 12)):
+        engine = SchreierEngine(o.parse(xi))
+        cases = [Vector.zero(), Vector.from_dict({5: Fraction(-3, 7)})]
+        cases += [random_vector(rng, range(1, top + 1), max_support=8,
+                                denom=7) for _ in range(30)]
+        for x in cases:
+            assert engine.value(x) == brute_stage_norm(engine.xi, x), \
+                (xi, x.coords)
+
+
+def test_mixed_norm_matches_weighted_level_oracle(rng):
+    engine = MixedEngine([o.ONE, o.from_int(2)])
+    cases = [Vector.zero(), Vector.from_dict({5: Fraction(-3, 7)})]
+    cases += [random_vector(rng, range(1, 19), max_support=8, denom=7)
+              for _ in range(30)]
+    for x in cases:
+        want = Fraction(1, 2) * brute_stage_norm(o.ONE, x) + \
+            Fraction(1, 2) * brute_stage_norm(o.from_int(2), x)
+        assert engine.value(x) == want, x.coords
+
+
+def _seeded_vector(rng, keys, num: int, den: int) -> Vector:
+    return Vector.from_dict({k: Fraction(rng.choice((-1, 1)) *
+                                         rng.randint(1, num),
+                                         rng.randint(1, den)) for k in keys})
+
+
+@pytest.mark.parametrize("xi, keys, expect", [
+    ("0", range(1, 1201), "sup"),
+    ("1", range(2000, 3200), "l1"),
+    ("w", range(2000, 3200), "l1"),
+])
+def test_norm_on_a_long_support_stays_off_the_recursion_limit(xi, keys,
+                                                              expect):
+    # |E| <= min E makes the whole support admissible at stages >= 1
+    x = _seeded_vector(random.Random(11), keys, 9, 7)
+    value, cert = SchreierEngine(o.parse(xi)).norm(x)
+    if expect == "sup":
+        assert value == max(abs(v) for _, v in x.coords)
+        assert len(cert.meta["set"]) == 1
+    else:
+        assert value == x.l1()
+        assert cert.meta["set"] == x.support
+    assert cert.evaluate(x) == value
+
+
+def test_certificate_sets_are_pinned_among_ties():
+    """Several admissible sets attain these maxima; the include-first
+    search order picks the certificate set."""
+    rng = random.Random(6)
+    x = _seeded_vector(rng, rng.sample(range(3, 37), 17), 4, 3)
+    value, cert = S1E.norm(x)
+    assert value == 10
+    assert cert.meta["set"] == (11, 13, 14, 18, 19, 21, 24, 27, 28, 32, 34)
+    rng = random.Random(102)
+    y = _seeded_vector(rng, rng.sample(range(2, 34), 16), 4, 3)
+    value, cert = MixedEngine([o.ONE, o.from_int(2)]).norm(y)
+    assert value == Fraction(83, 3)
+    assert [(lv["xi"], lv["set"]) for lv in cert.meta["levels"]] == [
+        ("1", (11, 13, 14, 15, 18, 19, 23, 25, 29, 31, 32)),
+        ("2", (3, 7, 11, 13, 14, 15, 18, 19, 21, 23, 24, 25, 29, 31, 32,
+               33))]
 
 
 def test_tree_norm_matches_bruteforce(rng):
