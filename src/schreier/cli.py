@@ -177,11 +177,20 @@ def cmd_norm_eval(args):
     return 0
 
 
+def _meta_json(obj):
+    """Certificate meta as JSON values: rationals as "p/q", tuples as lists,
+    through nested levels (mixed) and base certificates (ex)."""
+    if isinstance(obj, Fraction):
+        return frac_str(obj)
+    if isinstance(obj, dict):
+        return {k: _meta_json(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_meta_json(v) for v in obj]
+    return obj
+
+
 def _cert_json(cert) -> dict:
-    meta = dict(cert.describe())
-    for key in ("set",):
-        if key in meta:
-            meta[key] = list(meta[key])
+    meta = _meta_json(cert.describe())
     if cert.coeffs is not None:
         meta["functional"] = [[list(k) if isinstance(k, tuple) else k,
                                frac_str(v)] for k, v in sorted(

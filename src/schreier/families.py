@@ -10,6 +10,7 @@ truncated enumeration, and both symbolic and probe rank computation.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -67,7 +68,9 @@ class LazySet:
         self._lock = threading.Lock()
         self._cap: int | None = None
         self.describe = describe
-        self.root = root if root is not None else self
+        # None for a root stream: a reference to itself would make every
+        # root a reference cycle that only the cyclic collector frees
+        self._root = root
 
     # construction ----------------------------------------------------------
 
@@ -117,6 +120,11 @@ class LazySet:
     # access ----------------------------------------------------------------
 
     @property
+    def root(self) -> "LazySet":
+        """The stream whose probe budget bounds this one."""
+        return self if self._root is None else self._root
+
+    @property
     def consumed(self) -> int:
         """High-water mark of materialized elements (per stream object)."""
         return len(self._cache)
@@ -136,11 +144,10 @@ class LazySet:
     def _ensure(self, n: int):
         with self._lock:
             while len(self._cache) < n:
-                root = self.root
-                if root._cap is not None and root is self \
-                        and len(self._cache) >= root._cap:
+                if self._root is None and self._cap is not None \
+                        and len(self._cache) >= self._cap:
                     raise ProbeLimitError(
-                        f"probe limit {root._cap} exceeded on {self.describe}",
+                        f"probe limit {self._cap} exceeded on {self.describe}",
                         len(self._cache))
                 v = next(self._it)
                 if self._cache and v <= self._cache[-1]:
@@ -159,25 +166,22 @@ class LazySet:
         self._ensure(n)
         return tuple(self._cache[:n])
 
-    def contains(self, v: int) -> bool:
+    def _locate(self, v: int) -> int:
+        """0-based cache position of the first element >= v, materializing
+        the stream up to that element."""
         i = len(self._cache)
         while not self._cache or self._cache[-1] < v:
             i += 1
             self._ensure(i)
-        lo, hi = 0, len(self._cache)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._cache[mid] < v:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo < len(self._cache) and self._cache[lo] == v
+        return bisect_left(self._cache, v)
+
+    def contains(self, v: int) -> bool:
+        return self._cache[self._locate(v)] == v
 
     def index_of(self, v: int) -> int | None:
         """1-based position of value v, or None if absent."""
-        if not self.contains(v):
-            return None
-        return self._cache.index(v) + 1
+        i = self._locate(v)
+        return i + 1 if self._cache[i] == v else None
 
     # derived streams -------------------------------------------------------
 

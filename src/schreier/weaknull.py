@@ -91,12 +91,15 @@ def min_convex(inst: Instance, f, signs=None, max_rounds: int = 500,
     def add_cert(cert) -> bool:
         added = False
         base = [cert.coefficient(key) for key in support]
+        values = None
         for sgn in (1, -1):
             fp = tuple(sgn * c for c in base)
             if fp in fingerprints:
                 continue
             fingerprints.add(fp)
-            rows.append([sgn * cert.evaluate(v) for v in vecs])
+            if values is None:
+                values = [cert.evaluate(v) for v in vecs]
+            rows.append([sgn * v for v in values])
             added = True
         return added
 

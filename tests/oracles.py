@@ -4,7 +4,9 @@ These deliberately avoid the library's optimized paths: decompositions are
 searched exhaustively, norms are maximized by full enumeration, and convex
 minima come from a one-shot LP over the complete dual description plus
 grid search, solved by a dense tableau of its own that recomputes every
-reduced cost and updates every entry.  Slow and simple on purpose.
+reduced cost and updates every entry.  Slow and simple on purpose.  The
+library's earlier Fraction tableau is kept as well, to pin the pivots of
+the integer-row tableau that replaced it.
 """
 
 from __future__ import annotations
@@ -297,6 +299,122 @@ def reference_solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()):
     return x, value
 
 
+def _fraction_pivot(tableau, basis, row: int, col: int):
+    line = tableau[row]
+    piv = line[col]
+    nonzero = [j for j, v in enumerate(line) if v]
+    if piv != 1:
+        for j in nonzero:
+            line[j] /= piv
+    for r, other in enumerate(tableau):
+        factor = other[col]
+        if r != row and factor:
+            for j in nonzero:
+                other[j] -= factor * line[j]
+    basis[row] = col
+
+
+def _fraction_objective_row(tableau, basis, cost):
+    row = list(cost) + [Fraction(0)]
+    for r, b in enumerate(basis):
+        cb = cost[b]
+        if cb:
+            for j, v in enumerate(tableau[r]):
+                if v:
+                    row[j] -= cb * v
+    return row
+
+
+def _fraction_run(tableau, basis, allowed):
+    m = len(basis)
+    objective = tableau[m]
+    ncols = len(objective) - 1
+    while True:
+        enter = -1
+        for j in range(ncols):
+            if allowed[j] and objective[j] < 0:
+                enter = j
+                break
+        if enter < 0:
+            return
+        leave, best = -1, None
+        for r in range(m):
+            coef = tableau[r][enter]
+            if coef > 0:
+                ratio = tableau[r][ncols] / coef
+                if best is None or ratio < best or \
+                        (ratio == best and basis[r] < basis[leave]):
+                    leave, best = r, ratio
+        if leave < 0:
+            raise LPError("linear program is unbounded")
+        _fraction_pivot(tableau, basis, leave, enter)
+
+
+def reference_tableau_solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(),
+                               tiebreak=()):
+    """The library's earlier Fraction tableau, kept verbatim: the carried
+    reduced-cost row and the in-tableau tie-breaking stages of
+    ``solve_lp``, with every entry a Fraction.  Its pivots are the ones the
+    integer-row tableau must make, tie-breaking stages included."""
+    n = len(c)
+    m1, m2 = len(a_ub), len(a_eq)
+    ncols = n + m1 + m2
+    tableau = []
+    basis = []
+    for i, (row, b) in enumerate(zip(a_ub, b_ub)):
+        b = Fraction(b)
+        if b < 0:
+            raise LPError("rows must be normalized to nonnegative rhs")
+        line = [Fraction(v) for v in row] + [Fraction(0)] * (m1 + m2)
+        line[n + i] = Fraction(1)
+        line.append(b)
+        tableau.append(line)
+        basis.append(n + i)
+    for i, (row, b) in enumerate(zip(a_eq, b_eq)):
+        b = Fraction(b)
+        if b < 0:
+            row = [-Fraction(v) for v in row]
+            b = -b
+        line = [Fraction(v) for v in row] + [Fraction(0)] * (m1 + m2)
+        line[n + m1 + i] = Fraction(1)
+        line.append(b)
+        tableau.append(line)
+        basis.append(n + m1 + i)
+
+    allowed = [True] * ncols
+    if m2:
+        phase1 = [Fraction(0)] * (n + m1) + [Fraction(1)] * m2
+        tableau.append(_fraction_objective_row(tableau, basis, phase1))
+        _fraction_run(tableau, basis, allowed)
+        if tableau.pop()[ncols] != 0:
+            raise LPError("linear program is infeasible")
+        for j in range(n + m1, ncols):
+            allowed[j] = False
+        for r in range(len(basis)):
+            if basis[r] >= n + m1:
+                for j in range(n + m1):
+                    if tableau[r][j]:
+                        _fraction_pivot(tableau, basis, r, j)
+                        break
+
+    value = None
+    for objective in (c, *tiebreak):
+        cost = [Fraction(v) for v in objective] + [Fraction(0)] * (m1 + m2)
+        tableau.append(_fraction_objective_row(tableau, basis, cost))
+        _fraction_run(tableau, basis, allowed)
+        reduced = tableau.pop()
+        if value is None:
+            value = -reduced[ncols]
+        for j in range(ncols):
+            if reduced[j] > 0:
+                allowed[j] = False
+    x = [Fraction(0)] * n
+    for r, b in enumerate(basis):
+        if b < n:
+            x[b] = tableau[r][ncols]
+    return x, value
+
+
 def reference_sequential_lex(objectives, a_ub=(), b_ub=(), a_eq=(), b_eq=()):
     """Minimize each objective in turn, fixing the optimal values of the
     objectives before it by equality rows; returns (x, values)."""
@@ -499,3 +617,57 @@ def brute_z_norm(engine, x, iters=200):
         s = sum(w * max(t, v) ** 2 for w, v in zip(weights2, level_vals))
         t = max(c0, s ** 0.5)
     return t
+
+
+def _artifact_key(k):
+    return tuple(k) if isinstance(k, list) else k
+
+
+def check_norm_artifact(spec: dict, coords: list, result: dict):
+    """Checks a `norm eval` artifact from its JSON alone; None when it holds.
+
+    For exact kinds that carry a functional, the functional must evaluate to
+    the reported value on the input vector.  For `ell1` it must be the sign
+    pattern of x on its support; for `sup`, `schreier` and `mixed`, the
+    (weighted) sign pattern of x on sets that the exhaustive decomposition
+    search admits at the stage (0 for `sup`).  Approximate values must lie
+    within their error bound of a fresh evaluation.
+    """
+    from schreier.spaces import Vector, engine_from_spec
+    x = {_artifact_key(k): Fraction(v) for k, v in coords}
+    value, cert = result["value"], result["certificate"]
+    fresh = lambda: engine_from_spec(spec).value(
+        Vector.from_json({"coords": coords}))
+    if "approx" in value:
+        if abs(float(value["approx"]) - float(fresh())) > \
+                float(value["error_bound"]) + 1e-15:
+            return "approximate value outside its error bound"
+        return None
+    exact = Fraction(value["exact"])
+    if "functional" not in cert:
+        return None if fresh() == exact else "value differs from a fresh one"
+    functional = {_artifact_key(k): Fraction(c) for k, c in cert["functional"]}
+    if sum(c * x.get(k, 0) for k, c in functional.items()) != exact:
+        return "functional does not evaluate to the value"
+    sign = lambda k: Fraction((x[k] > 0) - (x[k] < 0))
+    levels = []
+    if spec["kind"] == "ell1":
+        levels = [(None, Fraction(1), [k for k in x if x[k]])]
+    elif spec["kind"] == "sup":
+        levels = [("0", Fraction(1), list(functional))]
+    elif spec["kind"] == "schreier":
+        levels = [(spec["xi"], Fraction(1), cert["set"])]
+    elif spec["kind"] == "mixed":
+        levels = [(lv["xi"], Fraction(lv["weight"]), lv["set"])
+                  for lv in cert["levels"]]
+    if levels:
+        want: dict = {}
+        for xi, weight, e in levels:
+            if xi is not None and \
+                    not brute_ordinal_member(ordinals.parse(xi), tuple(e)):
+                return f"set {e} is not admissible at stage {xi}"
+            for k in e:
+                want[k] = want.get(k, Fraction(0)) + weight * sign(k)
+        if {k: c for k, c in want.items() if c} != functional:
+            return "functional is not the sign pattern of its sets"
+    return None

@@ -1,6 +1,10 @@
 import json
 
+import pytest
+
 from schreier.cli import main
+
+from oracles import check_norm_artifact
 
 
 def run(capsys, *argv):
@@ -215,3 +219,43 @@ def test_enumeration_bound_exit_code(capsys):
     code, _, err = run(capsys, "family", "enum", "--spec",
                        '{"type":"adm","n":1}', "--n", "25")
     assert code == 3 and "bound exhausted" in err
+
+
+_LINE = [[1, "1"], [2, "-1/2"], [3, "1"], [5, "2/3"], [8, "-3/4"], [9, "1/5"]]
+_PARITY = [{"kind": "arith", "start": 1, "step": 2},
+           {"kind": "arith", "start": 2, "step": 2}]
+
+
+@pytest.mark.parametrize("spec, coords", [
+    ({"kind": "ell1"}, _LINE),
+    ({"kind": "sup"}, _LINE),
+    ({"kind": "schreier", "xi": "1"}, _LINE),
+    ({"kind": "schreier", "xi": "w"}, _LINE),
+    ({"kind": "mixed", "xis": ["1", "2"]}, _LINE),
+    ({"kind": "mixed", "xis": ["0", "w", "w^2"]}, _LINE),
+    ({"kind": "ex", "base": {"kind": "ell1"}, "partition": _PARITY}, _LINE),
+    ({"kind": "ex", "base": {"kind": "mixed", "xis": ["1", "2"]},
+      "partition": _PARITY}, _LINE),
+    ({"kind": "tree", "nodes": [[1], [1, 1], [1, 2], [2]]},
+     [[[1], "1"], [[1, 1], "-2"], [[1, 2], "1/3"], [[2], "1/2"]]),
+    ({"kind": "z", "xi": "1", "base": {"kind": "sup"}}, _LINE),
+], ids=lambda v: v["kind"] if isinstance(v, dict) else "")
+def test_norm_eval_artifact_checks_for_every_engine_kind(capsys, spec,
+                                                         coords):
+    code, out, _ = run(capsys, "norm", "eval", "--engine", json.dumps(spec),
+                       "--vector", json.dumps({"coords": coords}))
+    assert code == 0
+    result = artifact(out)
+    assert result["certificate"]["kind"] in (spec["kind"],
+                                             "fixed-point-trace")
+    assert check_norm_artifact(spec, coords, result) is None
+
+
+def test_norm_quotient_of_an_ex_engine_with_a_mixed_base(capsys):
+    engine = json.dumps({"kind": "ex", "partition": _PARITY,
+                         "base": {"kind": "mixed", "xis": ["1", "2"]}})
+    code, out, _ = run(capsys, "norm", "quotient", "--engine", engine,
+                       "--vector", json.dumps({"coords": _LINE}))
+    assert code == 0
+    # odd keys fold onto class 1 and even keys onto class 2
+    assert artifact(out)["coords"] == [[1, "43/15"], [2, "-5/4"]]

@@ -398,6 +398,39 @@ def test_lazyset_contracts():
         LazySet(iter([3, 2]), "bad").prefix(2)
 
 
+@pytest.mark.parametrize("spec", [
+    {"kind": "arith", "start": 3, "step": 4},
+    {"kind": "list-prefix", "prefix": [2, 3, 7, 20], "tail_step": 3},
+    {"kind": "geom", "base": 3}])
+def test_lazyset_index_of_matches_the_prefix_position(spec):
+    # queried out of order, so some answers come from an already cached
+    # prefix and some extend it
+    s = set_from_spec(spec)
+    values = s.prefix(12)
+    fresh = set_from_spec(spec)
+    queries = set(range(1, 30)) | {v + d for v in values for d in (-1, 0, 1)}
+    for v in sorted(queries, key=lambda v: (v * 7919) % 101):
+        want = values.index(v) + 1 if v in values else None
+        assert fresh.index_of(v) == want, (spec, v)
+        assert fresh.contains(v) == (want is not None), (spec, v)
+    assert fresh.consumed == 13
+
+
+def test_lazyset_views_are_freed_without_the_cycle_collector():
+    import gc
+    import weakref
+    gc.disable()
+    try:
+        s = LazySet.arithmetic(2, 3)
+        d = s.drop(2).remove_finite({8})
+        assert d.prefix(3) == (11, 14, 17) and d.root is s and s.root is s
+        refs = [weakref.ref(s), weakref.ref(d)]
+        del s, d
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
 def test_fast_max_segment_agrees_with_generic_probe():
     """Spot-check of composite niceness: the structure-aware block
     construction matches one-point grow-and-test on stream prefixes."""

@@ -1,11 +1,14 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
+from schreier import simplex
 from schreier.simplex import LPError, solve_lp
 
-from oracles import reference_sequential_lex, reference_solve_lp
+from oracles import (reference_sequential_lex, reference_solve_lp,
+                     reference_tableau_solve_lp)
 
 F = Fraction
 
@@ -82,7 +85,7 @@ def test_random_lps_match_reference():
             continue
         solved += 1
         x, value = got
-        assert value == want[1], lp
+        assert value == want[1] and x == want[0], lp
         _assert_feasible(x, lp)
         assert sum(a * v for a, v in zip(lp[0], x)) == value
     assert solved > 50 and failed > 50
@@ -115,3 +118,123 @@ def test_tiebreak_selects_lex_min_vertex_of_optimal_edge():
 def test_infeasible_with_tiebreak():
     with pytest.raises(LPError):
         solve_lp([F(0)], [[1]], [F(1, 2)], [[1]], [2], tiebreak=[[F(1)]])
+
+
+def _fraction_lp(rng, draw):
+    n = rng.randint(1, 4)
+    row = lambda: [draw() for _ in range(n)]
+    a_ub = [row() for _ in range(rng.randint(0, 3))]
+    a_eq = [row() for _ in range(rng.randint(0, 2))]
+    return (row(), a_ub, [abs(draw()) for _ in a_ub],
+            a_eq, [draw() for _ in a_eq])
+
+
+def _small_fraction(rng):
+    return F(rng.randint(-6, 6), rng.randint(1, 12))
+
+
+def _huge_fraction(rng):
+    return F(rng.randint(-10 ** 12, 10 ** 12),
+             rng.randint(10 ** 12 - 10 ** 6, 10 ** 12))
+
+
+def _assert_same_solution(got, want, lp):
+    assert (got is None) == (want is None), lp
+    if got is not None:
+        assert got == want, lp
+        assert all(type(v) is Fraction for v in got[0])
+        assert type(got[1]) is Fraction
+
+
+def test_fraction_lps_make_the_reference_pivots():
+    # the optimum need not be unique, so equal x means equal pivots
+    rng = random.Random(11)
+    outcomes = set()
+    for draw in [_small_fraction] * 400 + [_huge_fraction] * 40:
+        lp = _fraction_lp(rng, lambda: draw(rng))
+        got = _outcome(solve_lp, lp)
+        _assert_same_solution(got, _outcome(reference_solve_lp, lp), lp)
+        outcomes.add(got is None)
+    assert outcomes == {True, False}
+
+
+def test_degenerate_ratio_ties_make_the_reference_pivots():
+    # small coefficients and rhs in 0..2 make many ratio-test ties; in a few
+    # of these LPs the lower-basis-index rule decides which optimal vertex
+    # is returned
+    rng = random.Random(0)
+    for _ in range(3000):
+        n = rng.randint(2, 4)
+        row = lambda: [F(rng.randint(-1, 2)) for _ in range(n)]
+        a_ub = [row() for _ in range(rng.randint(2, 5))]
+        a_eq = [row() for _ in range(rng.randint(0, 1))]
+        lp = ([F(rng.randint(-2, 1)) for _ in range(n)],
+              a_ub, [F(rng.randint(0, 2)) for _ in a_ub],
+              a_eq, [F(rng.randint(0, 2)) for _ in a_eq])
+        _assert_same_solution(_outcome(solve_lp, lp),
+                              _outcome(reference_solve_lp, lp), lp)
+
+
+def test_tiebreak_stages_make_the_fraction_tableau_pivots():
+    rng = random.Random(12)
+    for i in range(300):
+        draw = _huge_fraction if i % 10 == 0 else _small_fraction
+        lp = _fraction_lp(rng, lambda: draw(rng))
+        n = len(lp[0])
+        tiebreak = [[_small_fraction(rng) for _ in range(n)]
+                    for _ in range(rng.randint(1, 3))]
+        _assert_same_solution(
+            _outcome(solve_lp, lp, tiebreak=tiebreak),
+            _outcome(reference_tableau_solve_lp, lp, tiebreak=tiebreak), lp)
+
+
+def test_int_fraction_and_mixed_inputs_agree():
+    rng = random.Random(13)
+    for _ in range(200):
+        lp = _random_lp(rng)
+        as_int = [[int(v) for v in lp[0]]] + [
+            [[int(v) for v in row] for row in part] if i % 2 == 0
+            else [int(v) for v in part]
+            for i, part in enumerate(lp[1:])]
+        mixed = [[v if j % 2 else int(v) for j, v in enumerate(lp[0])]] + \
+            list(lp[1:])
+        want = _outcome(reference_solve_lp, lp)
+        for variant in (lp, as_int, mixed):
+            _assert_same_solution(_outcome(solve_lp, variant), want, lp)
+
+
+def test_errors_on_fraction_and_huge_inputs():
+    big = F(10 ** 12 + 1, 10 ** 12 - 1)
+    with pytest.raises(LPError, match="normalized"):
+        solve_lp([F(1)], [[big]], [-big])
+    with pytest.raises(LPError, match="infeasible"):
+        solve_lp([F(0)], [[big]], [big], [[big]], [2 * big])
+    with pytest.raises(LPError, match="unbounded"):
+        solve_lp([-big, F(1, 7)], [[F(-1, 3), big]], [big])
+    # a negative equality right-hand side is negated, not rejected
+    assert solve_lp([F(1)], [], [], [[-big]], [-big]) == ([F(1)], F(1))
+
+
+def test_pivot_keeps_rows_reduced_and_exact():
+    rng = random.Random(14)
+    for _ in range(200):
+        m, ncols = rng.randint(2, 5), rng.randint(2, 6)
+        fracs = [[F(rng.randint(-9, 9), rng.randint(1, 12))
+                  for _ in range(ncols + 1)] for _ in range(m)]
+        rows, dens = map(list, zip(*(simplex._scaled(r) for r in fracs)))
+        basis = list(range(m))
+        for _ in range(3):
+            row, col = rng.randrange(m), rng.randrange(ncols)
+            if not rows[row][col]:
+                continue
+            simplex._pivot(rows, dens, basis, row, col)
+            piv = fracs[row][col]
+            fracs[row] = [v / piv for v in fracs[row]]
+            for r in range(m):
+                if r != row:
+                    factor = fracs[r][col]
+                    fracs[r] = [a - factor * b
+                                for a, b in zip(fracs[r], fracs[row])]
+            for r in range(m):
+                assert dens[r] > 0 and gcd(dens[r], *rows[r]) == 1
+                assert [F(v, dens[r]) for v in rows[r]] == fracs[r]
