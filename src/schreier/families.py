@@ -4,7 +4,8 @@ Finite sets are tuples of strictly increasing positive integers.  Infinite
 sets are LazySet streams.  A Family is a grammar node (bounded-cardinality
 sets, the transfinite admissible hierarchy, composition, image, preimage,
 union) exposing membership, maximal initial segments, partitions,
-truncated enumeration, and both symbolic and probe rank computation.
+largest admissible sums, truncated enumeration, and both symbolic and
+probe rank computation.
 """
 
 from __future__ import annotations
@@ -56,9 +57,9 @@ class LazySet:
 
     Elements are pulled one at a time and cached; ``consumed`` reports how
     much of the stream has been materialized.  Stream operations read by
-    position through ``value``; derived streams (``drop``, ``remove_finite``)
-    read through their parent, so a probe guard placed on the root bounds
-    every view of it.  The cache is lock-guarded.
+    position through ``value``; a derived stream (``remove_finite``) reads
+    through its parent, so a probe guard placed on the root bounds every
+    view of it.  The cache is lock-guarded.
     """
 
     def __init__(self, it: Iterator[int], describe: str = "stream",
@@ -185,17 +186,6 @@ class LazySet:
 
     # derived streams -------------------------------------------------------
 
-    def drop(self, k: int) -> "LazySet":
-        """The stream minus its first k elements (reads through this one)."""
-        parent = self
-
-        def gen():
-            i = k + 1
-            while True:
-                yield parent.value(i)
-                i += 1
-        return LazySet(gen(), f"{self.describe}[{k}:]", root=self.root)
-
     def remove_finite(self, values) -> "LazySet":
         """The stream minus a finite set of values (reads through this one)."""
         parent = self
@@ -246,10 +236,20 @@ def set_from_cli(text: str) -> LazySet:
 
 
 class Family:
-    """A hereditary, spreading family given by a grammar node.
+    """A hereditary family given by a grammar node.
 
     ``contains`` is the single membership entry point; node types implement
     ``_contains``.  Nodes are immutable.
+
+    A node that is spreading by construction exposes membership as a
+    persistent cursor, and only such a node does: ``start()`` is the state
+    of the empty set and ``step(state, v)`` the state after appending
+    v > max E to a member E, or None when that extension closes (is
+    maximal).  A member E extends by any v > max E iff its state is not
+    None, so a ``start()`` of None means no nonempty set is a member.
+    States are immutable, so a search branch shares its parent's state.
+    By default ``_contains`` folds the cursor; maximal stream segments and
+    ``max_member_sum`` step it.
     """
 
     def contains(self, e: FinSet) -> bool:
@@ -259,6 +259,19 @@ class Family:
         return self.contains(tuple(e))
 
     def _contains(self, e: FinSet) -> bool:
+        state, step = self.start(), self.step
+        for v in e:
+            if state is None:
+                return False
+            state = step(state, v)
+        return True
+
+    def start(self):
+        """The cursor state of the empty set."""
+        raise NotImplementedError
+
+    def step(self, state, v: int):
+        """The cursor state after appending v; None once the set closes."""
         raise NotImplementedError
 
     def cb_index(self) -> "CBIndex":
@@ -270,14 +283,8 @@ class Family:
     def __repr__(self):
         return f"<Family {self.spec()}>"
 
-    # Structure-aware maximal initial segment of m from 0-based position
-    # ``start`` on; None means "use the generic grow-and-test fallback".
-    # Callers hold the probe guard.
-    def _fast_max_segment(self, m: LazySet, start: int) -> FinSet | None:
-        return None
-
     # Whether the node type guarantees closure under spreads (images and
-    # ad hoc subclasses do not).
+    # ad hoc subclasses do not); true exactly for nodes with a cursor.
     def is_spreading_by_construction(self) -> bool:
         return False
 
@@ -299,6 +306,9 @@ class EmptyFamily(Family):
     def is_spreading_by_construction(self) -> bool:
         return True
 
+    def start(self) -> None:
+        return None
+
     def _contains(self, e: FinSet) -> bool:
         return False
 
@@ -315,8 +325,8 @@ class EmptySetOnly(Family):
     def is_spreading_by_construction(self) -> bool:
         return True
 
-    def _contains(self, e: FinSet) -> bool:
-        return not e
+    def start(self) -> None:
+        return None
 
     def cb_index(self) -> CBIndex:
         return CBIndex(ONE)
@@ -326,7 +336,8 @@ class EmptySetOnly(Family):
 
 
 class Adm(Family):
-    """Sets of cardinality at most n."""
+    """Sets of cardinality at most n; the cursor state is the number of
+    slots left."""
 
     def __init__(self, n: int):
         if n < 0:
@@ -336,19 +347,17 @@ class Adm(Family):
     def is_spreading_by_construction(self) -> bool:
         return True
 
-    def _contains(self, e: FinSet) -> bool:
-        return len(e) <= self.n
+    def start(self) -> int | None:
+        return self.n or None
+
+    def step(self, state: int, v: int) -> int | None:
+        return state - 1 or None
 
     def cb_index(self) -> CBIndex:
         return CBIndex(from_int(self.n + 1))
 
     def spec(self) -> dict:
         return {"type": "adm", "n": self.n}
-
-    def _fast_max_segment(self, m: LazySet, start: int) -> FinSet:
-        if self.n == 0:
-            raise ValueError("family has no nonempty members")
-        return m.prefix(start + self.n)[start:]
 
 
 def _stage_parts(xi: Ordinal) -> tuple[Ordinal | None, int]:
@@ -433,15 +442,11 @@ class Schreier(Family):
     limit the stage delegates to fs(lam, min E) + 1 along the canonical
     fundamental sequence.
 
-    The greedy walk is also exposed as a persistent cursor: ``start()`` is
-    the state of the empty set and ``step(state, v)`` the state after
-    appending v > max E to a member E, or None when that extension closes
-    (is maximal).  A member E extends by any v > max E iff its state is not
-    None.  A state is the pending stage (limit part, finite part) plus an
-    immutable linked stack of frames (child limit part, child finite part,
-    blocks left, rest), so a search branch shares its parent's state and a
-    step costs O(1) amortized.  Membership folds ``step``; stream segments
-    and repeated-averages weights use the bulk walk ``_walk``.
+    The cursor is the greedy walk one point at a time.  A state is the
+    pending stage (limit part, finite part) plus an immutable linked stack
+    of frames (child limit part, child finite part, blocks left, rest), so
+    a step costs O(1) amortized.  Repeated-averages weights use the bulk
+    walk ``_walk``.
     """
 
     def __init__(self, xi: Ordinal):
@@ -451,13 +456,11 @@ class Schreier(Family):
         return True
 
     def start(self) -> tuple:
-        """The cursor state of the empty set."""
         lam, k = _stage_parts(self.xi)
         return lam, k, None
 
     @staticmethod
     def step(state: tuple, v: int) -> tuple | None:
-        """The cursor state after appending v; None once the set closes."""
         lam, k, stack = state
         while True:
             if k:
@@ -477,23 +480,11 @@ class Schreier(Family):
             stack = rest
         return None
 
-    def _contains(self, e: FinSet) -> bool:
-        state, step = self.start(), self.step
-        for v in e:
-            if state is None:
-                return False
-            state = step(state, v)
-        return True
-
     def cb_index(self) -> CBIndex:
         return CBIndex(ordinals.add(ordinals.omega_pow(self.xi), ONE))
 
     def spec(self) -> dict:
         return {"type": "schreier", "xi": ordinals.fmt(self.xi)}
-
-    def _fast_max_segment(self, m: LazySet, start: int) -> FinSet:
-        length, _ = _walk(self.xi, _stream_at(m), start)
-        return m.prefix(start + length)[start:]
 
 
 def schreier_family(xi: Ordinal) -> Schreier:
@@ -506,29 +497,49 @@ def adm_family(n: int) -> Adm:
 
 
 class Compose(Family):
-    """F[G]: unions of consecutive G-blocks whose minima form an F-set."""
+    """F[G]: unions of consecutive G-blocks whose minima form an F-set.
+
+    The empty set is a member iff both F and G contain it, so F[G] is empty
+    when F or G is.  Over spreading children the cursor is greedy: the
+    current G-block grows while its state is open, and otherwise v opens a
+    new block and steps the minima's F-state.  The greedy blocks start no
+    earlier than the blocks of any split, so their minima spread a subset
+    of that split's minima and the greedy split decides membership.  A
+    state is (F-state, open block's G-state or None).  Other children take
+    an exhaustive split search.
+    """
 
     def __init__(self, outer: Family, inner: Family):
         self.outer = outer
         self.inner = inner
-        # The split search is exponential; the table lives with this node.
-        self._memo: dict[FinSet, bool] = {}
 
     def is_spreading_by_construction(self) -> bool:
         return self.outer.is_spreading_by_construction() and \
             self.inner.is_spreading_by_construction()
 
+    def start(self) -> tuple | None:
+        outer = self.outer.start()
+        if outer is None or self.inner.start() is None:
+            return None
+        return outer, None
+
+    def step(self, state: tuple, v: int) -> tuple | None:
+        outer, block = state
+        if block is not None:
+            block = self.inner.step(block, v)
+        else:
+            outer = self.outer.step(outer, v)
+            block = self.inner.step(self.inner.start(), v)
+        return None if outer is None and block is None else (outer, block)
+
     def _contains(self, e: FinSet) -> bool:
-        hit = self._memo.get(e)
-        if hit is None:
-            hit = self._memo[e] = self._search(e)
-        return hit
+        if not e:
+            return self.outer.contains(()) and self.inner.contains(())
+        if self.is_spreading_by_construction():
+            return super()._contains(e)
+        return self._search(e)
 
     def _search(self, e: FinSet) -> bool:
-        if isinstance(self.outer, EmptyFamily) or isinstance(self.inner, EmptyFamily):
-            return False
-        if not e:
-            return True
         outer, inner = self.outer, self.inner
         n = len(e)
 
@@ -545,8 +556,6 @@ class Compose(Family):
                     return True
                 if rec(j, mins):
                     return True
-                if j == n:
-                    return False
                 j += 1
 
         return rec(0, ())
@@ -563,20 +572,6 @@ class Compose(Family):
     def spec(self) -> dict:
         return {"type": "compose", "outer": self.outer.spec(),
                 "inner": self.inner.spec()}
-
-    def _fast_max_segment(self, m: LazySet, start: int) -> FinSet:
-        inner, outer = self.inner, self.outer
-        boundaries = [start]
-
-        def minima():
-            while True:
-                block = _max_segment(m, inner, boundaries[-1])
-                boundaries.append(boundaries[-1] + len(block))
-                yield block[0]
-
-        mins_stream = LazySet(minima(), "block-minima", root=m.root)
-        k = len(_max_segment(mins_stream, outer))
-        return m.prefix(boundaries[k])[start:]
 
 
 class Image(Family):
@@ -609,7 +604,11 @@ class Image(Family):
 
 
 class Preimage(Family):
-    """F(M^-1): index sets whose image under M's enumeration lies in F."""
+    """F(M^-1): index sets whose image under M's enumeration lies in F.
+
+    The cursor steps F's cursor with the image of each index.  Membership
+    pushes the whole set through M and asks F, for any F.
+    """
 
     def __init__(self, fam: Family, mset: LazySet,
                  probe_limit: int = DEFAULT_PROBE_LIMIT):
@@ -619,6 +618,14 @@ class Preimage(Family):
 
     def is_spreading_by_construction(self) -> bool:
         return self.fam.is_spreading_by_construction()
+
+    def start(self):
+        return self.fam.start()
+
+    def step(self, state, i: int):
+        with self.mset.probe_guard(self.probe_limit):
+            v = self.mset.value(i)
+        return self.fam.step(state, v)
 
     def _contains(self, e: FinSet) -> bool:
         with self.mset.probe_guard(self.probe_limit):
@@ -633,17 +640,14 @@ class Preimage(Family):
         return {"type": "preimage", "family": self.fam.spec(),
                 "set": {"kind": "opaque", "describe": self.mset.describe}}
 
-    def _fast_max_segment(self, m: LazySet, start: int) -> FinSet:
-        mset = self.mset
-        translated = LazySet.from_function(
-            lambda i: mset.value(m.value(start + i)), "translated")
-        with mset.probe_guard(self.probe_limit):
-            k = len(_max_segment(translated, self.fam))
-        return m.prefix(start + k)[start:]
-
 
 class UnionFamily(Family):
-    """Union of two families."""
+    """Union of two families.
+
+    The cursor state is the pair of child states; a child whose state is
+    None has closed or left, and the pair closes when both have.
+    Membership asks the children, for any children.
+    """
 
     def __init__(self, left: Family, right: Family):
         self.left = left
@@ -652,6 +656,14 @@ class UnionFamily(Family):
     def is_spreading_by_construction(self) -> bool:
         return self.left.is_spreading_by_construction() and \
             self.right.is_spreading_by_construction()
+
+    def start(self) -> tuple | None:
+        return _either(self.left.start(), self.right.start())
+
+    def step(self, state: tuple, v: int) -> tuple | None:
+        left, right = state
+        return _either(None if left is None else self.left.step(left, v),
+                       None if right is None else self.right.step(right, v))
 
     def _contains(self, e: FinSet) -> bool:
         return self.left.contains(e) or self.right.contains(e)
@@ -664,6 +676,10 @@ class UnionFamily(Family):
     def spec(self) -> dict:
         return {"type": "union", "left": self.left.spec(),
                 "right": self.right.spec()}
+
+
+def _either(left, right) -> tuple | None:
+    return None if left is None and right is None else (left, right)
 
 
 def family_from_spec(spec: dict) -> Family:
@@ -714,11 +730,61 @@ def is_maximal(e, fam: Family) -> bool:
     return not fam.contains(e + (e[-1] + 1,))
 
 
+def max_member_sum(fam: Family, keys, masses) -> tuple[int, FinSet]:
+    """The largest total mass of a member of fam within keys, and a member
+    that attains it.
+
+    ``keys`` is strictly increasing and ``masses`` holds one nonnegative
+    int per key; fam needs a cursor.  Branch and bound over subsets in key
+    order, pruning by the optimistic remaining-mass bound.  Each node
+    carries the cursor state of its chosen set, so a closed set ends its
+    branch.  An explicit stack of nodes bounds depth by memory, not by the
+    recursion limit; each node pushes its exclude child and then its
+    include child, so the include branch is searched first.  That order
+    decides which member is returned when several attain the maximum: the
+    first to strictly improve the running best.
+    """
+    n = len(keys)
+    tail = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        tail[i] = tail[i + 1] + masses[i]
+    best = 0
+    best_chosen = None
+    step = fam.step
+    # nodes: (next index, cursor state, sum, chosen keys as a linked list)
+    stack = [(0, fam.start(), 0, None)]
+    while stack:
+        i, state, cur, chosen = stack.pop()
+        if cur > best:
+            best, best_chosen = cur, chosen
+        # a closed set only excludes from here on, so its sum stays put
+        if state is None or i == n or cur + tail[i] <= best:
+            continue
+        stack.append((i + 1, state, cur, chosen))
+        stack.append((i + 1, step(state, keys[i]), cur + masses[i],
+                      (keys[i], chosen)))
+    picked = []
+    while best_chosen is not None:
+        k, best_chosen = best_chosen
+        picked.append(k)
+    return best, tuple(reversed(picked))
+
+
 def _max_segment(m: LazySet, fam: Family, start: int = 0) -> FinSet:
-    """The maximal initial segment of m's elements from position start on."""
-    fast = fam._fast_max_segment(m, start)
-    if fast is not None:
-        return fast
+    """The maximal initial segment of m's elements from position start on.
+
+    A node with a cursor steps it until the segment closes; other nodes
+    grow the segment one point at a time and test membership.  Callers hold
+    the probe guard.
+    """
+    if fam.is_spreading_by_construction():
+        state, step, at, pos = fam.start(), fam.step, _stream_at(m), start
+        if state is None:
+            raise ValueError("family has no nonempty members")
+        while state is not None:
+            state = step(state, at(pos))
+            pos += 1
+        return m.prefix(pos)[start:]
     k = 1
     while True:
         e = m.prefix(start + k)[start:]
@@ -801,17 +867,7 @@ def enumerate_restriction(fam: Family, n: int,
     if n > enum_limit:
         raise EnumerationLimitError(
             f"restriction bound {n} exceeds enumeration limit {enum_limit}")
-    out: list[FinSet] = []
-    if fam.contains(()):
-        out.append(())
-    stack = [(v,) for v in range(n, 0, -1) if fam.contains((v,))]
-    while stack:
-        e = stack.pop()
-        out.append(e)
-        for v in range(n, e[-1], -1):
-            ext = e + (v,)
-            if fam.contains(ext):
-                stack.append(ext)
+    out = enumerate_within(fam, range(1, n + 1), 2 ** n)
     out.sort(key=lambda e: tuple(reversed(e)))
     return out
 

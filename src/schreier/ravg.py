@@ -10,6 +10,7 @@ weights along the minima sequence.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
@@ -244,7 +245,8 @@ def fastgrow_check(xi: Ordinal, kset: LazySet, lset: LazySet, eps: Fraction,
     Verifies k(l_i) * (1 + 2 eps) <= l_{i+1} * eps for indices with
     l_i <= n (strict comparison reported separately), then maximizes the
     accumulated stage-xi mass over all E within {1..n} whose image under
-    the k-stream is admissible at stage xi.
+    the k-stream is admissible at stage xi, by ``max_member_sum`` on the
+    images of the weighted points.
     """
     eps = Fraction(eps)
     checked = []
@@ -266,17 +268,16 @@ def fastgrow_check(xi: Ordinal, kset: LazySet, lset: LazySet, eps: Fraction,
     if len(points) > subset_cap:
         raise EnumerationLimitError(
             f"{len(points)} weighted points exceed subset cap {subset_cap}")
-    fam = schreier_family(xi)
-    best, witness = Fraction(0), ()
-    for mask in range(1, 1 << len(points)):
-        e = tuple(p for b, p in enumerate(points) if mask >> b & 1)
-        with kset.probe_guard(probe_limit):
-            image = tuple(kset.value(v) for v in e)
-        if not fam.contains(image):
-            continue
-        s = sum((totals[p] for p in e), Fraction(0))
-        if s > best:
-            best, witness = s, e
+    with kset.probe_guard(probe_limit):
+        images = [kset.value(p) for p in points]
+    weights = [totals[p] for p in points]
+    scale = math.lcm(*(w.denominator for w in weights))
+    best, chosen = families.max_member_sum(
+        schreier_family(xi), images,
+        [w.numerator * (scale // w.denominator) for w in weights])
+    point_of = dict(zip(images, points))
+    witness = tuple(point_of[v] for v in chosen)
+    best = Fraction(best, scale)
     bound = 1 + eps
     return FastGrowReport(condition_holds=nonstrict,
                           strict_condition_holds=strict,

@@ -186,17 +186,9 @@ class SupEngine(NormEngine):
 class SchreierEngine(NormEngine):
     """Max over admissible sets of the restricted absolute sum.
 
-    Branch-and-bound over subsets of the support in key order, pruning by
-    the optimistic remaining-mass bound.  Each node carries the family's
-    membership cursor (``Schreier.start``/``step``): a chosen set extends by
-    the next key iff its cursor state is not None, so a closed set ends its
-    branch, and a branch shares its parent's state.  Masses |x_k| are
-    scaled by the lcm of their denominators, so the search adds and
-    compares ints.  An explicit stack of nodes bounds depth by memory, not
-    by the recursion limit; each node pushes its exclude child and then its
-    include child, so the include branch is searched first.  That order
-    decides which set the certificate names when several sets attain the
-    maximum: the first to strictly improve the running best.
+    Masses |x_k| are scaled by the lcm of their denominators and handed to
+    ``families.max_member_sum``, whose tie rule decides which set the
+    certificate names when several attain the maximum.
     """
 
     kind = "schreier"
@@ -207,34 +199,10 @@ class SchreierEngine(NormEngine):
 
     def norm(self, x: Vector):
         self._check_keys(x)
-        keys = x.support
         scale = math.lcm(*(v.denominator for _, v in x.coords))
-        mass = [abs(v.numerator) * (scale // v.denominator)
-                for _, v in x.coords]
-        n = len(keys)
-        tail = [0] * (n + 1)
-        for i in range(n - 1, -1, -1):
-            tail[i] = tail[i + 1] + mass[i]
-        best = 0
-        best_chosen = None
-        step = self.family.step
-        # nodes: (next index, cursor state, sum, chosen keys as a linked list)
-        stack = [(0, self.family.start(), 0, None)]
-        while stack:
-            i, state, cur, chosen = stack.pop()
-            if cur > best:
-                best, best_chosen = cur, chosen
-            # a closed set only excludes from here on, so its sum stays put
-            if state is None or i == n or cur + tail[i] <= best:
-                continue
-            stack.append((i + 1, state, cur, chosen))
-            stack.append((i + 1, step(state, keys[i]), cur + mass[i],
-                          (keys[i], chosen)))
-        picked = []
-        while best_chosen is not None:
-            k, best_chosen = best_chosen
-            picked.append(k)
-        best_set = tuple(reversed(picked))
+        best, best_set = families.max_member_sum(
+            self.family, x.support,
+            [abs(v.numerator) * (scale // v.denominator) for _, v in x.coords])
         vals = dict(x.coords)
         coeffs = {k: _sign(vals[k]) for k in best_set}
         return Fraction(best, scale), DualCert(

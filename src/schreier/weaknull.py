@@ -17,6 +17,7 @@ from fractions import Fraction
 
 from . import families, ordinals, ravg
 from .families import FinSet, LazySet, check_finset, schreier_family
+from .jsonio import frac_str
 from .ordinals import Ordinal
 from .simplex import solve_lp
 from .spaces import NormEngine, Vector, combine
@@ -202,27 +203,23 @@ class CertReport:
     margins: list = field(default_factory=list)
 
     def to_json(self) -> dict:
-        def frac(v):
-            return f"{Fraction(v).numerator}/{Fraction(v).denominator}"
         return {
             "family": self.family,
-            "epsilon": frac(self.epsilon),
+            "epsilon": frac_str(self.epsilon),
             "variant": self.variant,
             "passed": self.passed,
             "worst_set": list(self.worst_set),
             "worst_signs": list(self.worst_signs),
-            "worst_margin": frac(self.worst_margin),
-            "argmin_coefficients": [frac(c) for c in self.argmin_coefficients],
+            "worst_margin": frac_str(self.worst_margin),
+            "argmin_coefficients": [frac_str(c) for c in self.argmin_coefficients],
             "sets_checked": self.sets_checked,
         }
 
     def margin_rows(self) -> list:
-        def frac(v):
-            return f"{Fraction(v).numerator}/{Fraction(v).denominator}"
         rows = [["set", "signs", "margin"]]
         for e, signs, margin in self.margins:
             rows.append([" ".join(map(str, e)),
-                         " ".join(map(str, signs)), frac(margin)])
+                         " ".join(map(str, signs)), frac_str(margin)])
         return rows
 
 

@@ -63,6 +63,28 @@ def brute_schreier_member(level: int, e: tuple) -> bool:
     return brute_ordinal_member(ordinals.from_int(level), e)
 
 
+def brute_compose_member(outer, inner, e: tuple) -> bool:
+    """Membership in F[G] by exhaustive split search.
+
+    ``outer`` and ``inner`` are membership predicates for F and G.  Every
+    split of e into consecutive G-blocks is tried, and F is asked only
+    about the complete minima set, so nothing assumes that F or G is
+    hereditary or spreading.  The empty set is a member iff both F and G
+    contain it.
+    """
+    e = tuple(e)
+    if not e:
+        return outer(()) and inner(())
+
+    def splits(rest: tuple, mins: tuple) -> bool:
+        if not rest:
+            return outer(mins)
+        return any(inner(rest[:j]) and splits(rest[j:], mins + (rest[0],))
+                   for j in range(1, len(rest) + 1))
+
+    return splits(e, ())
+
+
 def brute_schreier_norm(fam, x) -> Fraction:
     """Max of restricted absolute sums over every admissible subset."""
     items = [(k, abs(v)) for k, v in x.coords]

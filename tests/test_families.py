@@ -1,4 +1,6 @@
+import functools
 import itertools
+import random
 
 import pytest
 
@@ -10,13 +12,14 @@ from schreier.families import (Compose, EmptyFamily, EmptySetOnly,
                                check_regularity, enumerate_restriction,
                                enumerate_within, family_from_spec,
                                feasible_depth, is_maximal, is_member,
-                               max_initial_segment, partition,
+                               max_initial_segment, max_member_sum, partition,
                                partition_blocks, partition_indices,
                                schreier_family, set_from_spec,
                                truncation_maximal)
 
 from conftest import sample_lazy_sets
-from oracles import brute_ordinal_member, brute_schreier_member
+from oracles import (brute_compose_member, brute_ordinal_member,
+                     brute_schreier_member)
 
 S0 = schreier_family(o.ZERO)
 S1 = schreier_family(o.ONE)
@@ -200,6 +203,91 @@ def test_compose_identity_and_empty():
     for side in (Compose(EmptyFamily(), S1), Compose(S1, EmptyFamily())):
         assert not side.contains(())
         assert not side.contains((1,))
+
+
+def _cached(pred):
+    return functools.lru_cache(maxsize=None)(pred)
+
+
+def _stage_pred(xi):
+    return _cached(lambda e: brute_ordinal_member(xi, e))
+
+
+def _adm_pred(n):
+    return lambda e: len(e) <= n
+
+
+def _union_pred(a, b):
+    return lambda e: a(e) or b(e)
+
+
+def _preimage_pred(f, fn):
+    return _cached(lambda e: f(tuple(fn(i) for i in e)))
+
+
+def _image_pred(f, fn):
+    index = {fn(i): i for i in range(1, 64)}
+    return _cached(lambda e: all(v in index for v in e)
+                   and f(tuple(index[v] for v in e)))
+
+
+def _compose_pred(a, b):
+    return _cached(lambda e: brute_compose_member(a, b, e))
+
+
+def _double(i):
+    return 2 * i
+
+
+def _odd_from_three(i):
+    return 2 * i + 1
+
+
+def _composition_cases():
+    """(library family, independent membership predicate) pairs."""
+    s1, s2, sw = _stage_pred(o.ONE), _stage_pred(o.from_int(2)), \
+        _stage_pred(o.OMEGA)
+    empty, only_empty = (lambda e: False), (lambda e: not e)
+    evens, odds = LazySet.arithmetic(2, 2), LazySet.arithmetic(3, 2)
+    c22 = _compose_pred(_adm_pred(2), s1)
+    return [
+        (Compose(adm_family(2), adm_family(3)),
+         _compose_pred(_adm_pred(2), _adm_pred(3))),
+        (Compose(S1, S1), _compose_pred(s1, s1)),
+        (Compose(S1, adm_family(2)), _compose_pred(s1, _adm_pred(2))),
+        (Compose(S0, S2), _compose_pred(_stage_pred(o.ZERO), s2)),
+        (Compose(schreier_family(o.OMEGA), adm_family(2)),
+         _compose_pred(sw, _adm_pred(2))),
+        (Compose(adm_family(2), Compose(adm_family(2), S1)),
+         _compose_pred(_adm_pred(2), c22)),
+        (Compose(Compose(S1, adm_family(1)), S1),
+         _compose_pred(_compose_pred(s1, _adm_pred(1)), s1)),
+        (Compose(UnionFamily(S1, adm_family(3)), adm_family(2)),
+         _compose_pred(_union_pred(s1, _adm_pred(3)), _adm_pred(2))),
+        (Compose(adm_family(2), UnionFamily(S1, adm_family(3))),
+         _compose_pred(_adm_pred(2), _union_pred(s1, _adm_pred(3)))),
+        (Compose(Preimage(S1, evens), adm_family(2)),
+         _compose_pred(_preimage_pred(s1, _double), _adm_pred(2))),
+        (Compose(adm_family(3), Preimage(S1, odds)),
+         _compose_pred(_adm_pred(3), _preimage_pred(s1, _odd_from_three))),
+        (Compose(Image(S1, evens), adm_family(2)),
+         _compose_pred(_image_pred(s1, _double), _adm_pred(2))),
+        (Compose(EmptyFamily(), S1), _compose_pred(empty, s1)),
+        (Compose(S1, EmptyFamily()), _compose_pred(s1, empty)),
+        (Compose(UnionFamily(EmptyFamily(), EmptyFamily()), S1),
+         _compose_pred(_union_pred(empty, empty), s1)),
+        (Compose(adm_family(2), EmptySetOnly()),
+         _compose_pred(_adm_pred(2), only_empty)),
+        (Compose(adm_family(0), S1), _compose_pred(_adm_pred(0), s1)),
+    ]
+
+
+def test_compose_matches_exhaustive_split_search():
+    """The greedy cursor (and, under an image, the library's own split
+    search) agrees with an exhaustive split search on every subset."""
+    for fam, want in _composition_cases():
+        for e in all_subsets(12):
+            assert fam.contains(e) == want(e), (fam.spec(), e)
 
 
 def test_image_preimage_examples():
@@ -390,8 +478,6 @@ def test_lazyset_contracts():
     assert s.value(5) == 5 and s.consumed == 5
     assert s.contains(3) and not LazySet.arithmetic(2, 2).contains(3)
     assert s.index_of(4) == 4
-    d = s.drop(2)
-    assert d.prefix(3) == (3, 4, 5)
     r = s.remove_finite({2, 4})
     assert r.prefix(4) == (1, 3, 5, 6)
     with pytest.raises(ValueError):
@@ -422,7 +508,7 @@ def test_lazyset_views_are_freed_without_the_cycle_collector():
     gc.disable()
     try:
         s = LazySet.arithmetic(2, 3)
-        d = s.drop(2).remove_finite({8})
+        d = s.remove_finite({2, 5}).remove_finite({8})
         assert d.prefix(3) == (11, 14, 17) and d.root is s and s.root is s
         refs = [weakref.ref(s), weakref.ref(d)]
         del s, d
@@ -432,8 +518,8 @@ def test_lazyset_views_are_freed_without_the_cycle_collector():
 
 
 def test_fast_max_segment_agrees_with_generic_probe():
-    """Spot-check of composite niceness: the structure-aware block
-    construction matches one-point grow-and-test on stream prefixes."""
+    """Spot-check of composite niceness: the cursor-stepped segment
+    matches one-point grow-and-test on stream prefixes."""
     def generic(m, fam):
         k = 1
         while True:
@@ -446,13 +532,54 @@ def test_fast_max_segment_agrees_with_generic_probe():
     fams = [S1, S2, schreier_family(o.OMEGA), adm_family(3),
             Compose(adm_family(2), S1), Compose(S1, S1),
             Compose(adm_family(2), Compose(adm_family(2), S1)),
-            Preimage(S1, LazySet.arithmetic(2, 2))]
+            Preimage(S1, LazySet.arithmetic(2, 2)),
+            UnionFamily(S1, adm_family(3)),
+            UnionFamily(adm_family(2), EmptySetOnly()),
+            Compose(UnionFamily(S1, adm_family(3)), adm_family(2)),
+            Compose(S1, UnionFamily(adm_family(1), S1)),
+            Compose(Preimage(S1, LazySet.arithmetic(2, 2)), S1),
+            Compose(adm_family(2), Preimage(S1, LazySet.arithmetic(3, 2)))]
     for fam in fams:
         for m in sample_lazy_sets(8):
             if feasible_depth(m, fam, 1, budget=400) == 0:
                 continue
             assert max_initial_segment(m, fam) == generic(m, fam), \
                 (fam.spec(), m.describe)
+
+
+def _preorder_best(fam, keys, masses):
+    """The include-first preorder's first member of largest mass, by
+    visiting every subset of keys."""
+    best, best_set = 0, ()
+
+    def visit(i, chosen, total):
+        nonlocal best, best_set
+        if fam.contains(chosen) and total > best:
+            best, best_set = total, chosen
+        for j in range(i, len(keys)):
+            visit(j + 1, chosen + (keys[j],), total + masses[j])
+
+    visit(0, (), 0)
+    return best, best_set
+
+
+def test_max_member_sum_matches_brute_enumeration():
+    rng = random.Random(13)
+    fams = [adm_family(0), adm_family(3), S1, S2,
+            Compose(adm_family(2), S1), Compose(S1, adm_family(2)),
+            Compose(adm_family(2), UnionFamily(S1, adm_family(3))),
+            UnionFamily(S1, adm_family(3)),
+            UnionFamily(EmptyFamily(), adm_family(2)),
+            Preimage(S1, LazySet.arithmetic(2, 2)), EmptyFamily(),
+            EmptySetOnly()]
+    for trial in range(60):
+        keys = tuple(sorted(rng.sample(range(1, 40), rng.randint(0, 10))))
+        # small masses make ties common, so the tie rule is exercised
+        masses = [rng.randint(1, 4) for _ in keys]
+        for fam in fams:
+            got = max_member_sum(fam, keys, masses)
+            assert got == _preorder_best(fam, keys, masses), \
+                (fam.spec(), keys, masses)
 
 
 def test_limit_stage_membership_matches_finite_delegation():

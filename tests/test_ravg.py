@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -190,6 +191,27 @@ def test_fastgrow_strictness_boundary():
     r = fastgrow_check(o.ONE, LazySet.naturals(), LazySet.geometric(4),
                        HALF, 60)
     assert r.condition_holds and not r.strict_condition_holds
+
+
+def test_fastgrow_max_sum_matches_subset_enumeration():
+    """Sixteen weighted points: the admissible-sum search equals the best
+    of all 2^16 subsets, with S_1 read off its definition |E| <= min E."""
+    k = LazySet.arithmetic(2, 3)
+    r = fastgrow_check(o.ONE, k, LazySet.arithmetic(3, 1), HALF, 18)
+    totals = ravg_total_restricted(o.ONE, LazySet.arithmetic(3, 1), 18)
+    points = sorted(p for p, v in totals.items() if v > 0)
+    assert len(points) == 16
+
+    def admissible(e):
+        return len(e) <= k.value(e[0])
+
+    best = max(sum(totals[p] for p in e)
+               for size in range(1, len(points) + 1)
+               for e in itertools.combinations(points, size)
+               if admissible(e))
+    assert r.max_sum == best > 1
+    assert admissible(r.witness)
+    assert sum(totals[p] for p in r.witness) == best
 
 
 def test_measure_errors():
