@@ -247,8 +247,10 @@ class Family:
     v > max E to a member E, or None when that extension closes (is
     maximal).  A member E extends by any v > max E iff its state is not
     None, so a ``start()`` of None means no nonempty set is a member.
-    States are immutable, so a search branch shares its parent's state.
-    By default ``_contains`` folds the cursor; maximal stream segments and
+    States are immutable, so a search branch shares its parent's state,
+    and opaque: only the node that made a state reads it (a ``Schreier``
+    state is its top frame, whose depth locates a point's weight).  By
+    default ``_contains`` folds the cursor; maximal stream segments and
     ``max_member_sum`` step it.
     """
 
@@ -369,60 +371,6 @@ def _stage_parts(xi: Ordinal) -> tuple[Ordinal | None, int]:
     return (xi if terms else None), 0
 
 
-def _walk(xi: Ordinal, at: Callable[[int], int | None], start: int,
-          weights: dict[int, Fraction] | None = None,
-          cutoff: int | None = None) -> tuple[int, bool]:
-    """The greedy maximal S_xi segment of a sequence from position start.
-
-    ``at(i)`` is the sequence's element at 0-based position i, or None past
-    the end of a finite sequence.  Returns (length, closed): ``closed``
-    means the segment is maximal; otherwise the sequence ended (or its next
-    value exceeded ``cutoff``) after ``length`` elements, all of which lie
-    in one S_xi set.  With ``weights`` given, each point of the segment is
-    mapped to its repeated-averages weight: a successor stage averages its
-    child blocks uniformly.
-
-    Stage 0 takes one point; a successor stage chains min(segment) child
-    segments; a limit stage delegates to fs(lam, min) + 1.  A stage is
-    carried as limit part plus finite part, so successor steps are integer
-    decrements.  The walk keeps an explicit stack of frames [child stage's
-    limit part, its finite part, blocks left, child weight], so its depth
-    is bounded by memory, not by the recursion limit.
-    """
-    lam, k = _stage_parts(xi)
-    weight = Fraction(1) if weights is not None else None
-    stack: list[list] = []
-    pos = start
-    v = at(pos)
-    while True:
-        if v is None or (cutoff is not None and v > cutoff):
-            return pos - start, False
-        if k:
-            # the first child segment starts at the same point
-            k -= 1
-            if weights is not None:
-                weight = weight / v
-            stack.append([lam, k, v, weight])
-        elif lam is not None:
-            # delegate to fs(lam, v) + 1
-            lam, k = _stage_parts(ordinals.fund_seq(lam, v))
-            k += 1
-        else:
-            if weights is not None:
-                weights[v] = weight
-            pos += 1
-            while stack:
-                frame = stack[-1]
-                frame[2] -= 1
-                if frame[2]:
-                    break
-                stack.pop()
-            else:
-                return pos - start, True
-            lam, k, _, weight = frame
-            v = at(pos)
-
-
 def _stream_at(m: LazySet) -> Callable[[int], int]:
     """0-based reader over m that serves materialized elements directly."""
     cache, value = m._cache, m.value
@@ -442,11 +390,16 @@ class Schreier(Family):
     limit the stage delegates to fs(lam, min E) + 1 along the canonical
     fundamental sequence.
 
-    The cursor is the greedy walk one point at a time.  A state is the
-    pending stage (limit part, finite part) plus an immutable linked stack
-    of frames (child limit part, child finite part, blocks left, rest), so
-    a step costs O(1) amortized.  Repeated-averages weights use the bulk
-    walk ``_walk``.
+    The cursor is the greedy walk one point at a time, and a state is its
+    top frame (limit part, finite part, blocks left, depth, rest): the
+    stage of the block being filled, how many blocks of that stage remain
+    (the open one included), how many frames lie below it, and the frame
+    below it.  ``start()`` is the root frame (xi's parts, 1, 0, None).  A
+    point at a stage with finite part k >= 1 opens its first child block:
+    it pushes (lam, k - 1, v, depth + 1, frame), so the frame holds v
+    blocks.  A step costs O(1) amortized, and ``step`` is the one place
+    that descends a stage; ``segment_weights`` reads the repeated-averages
+    weights off it.
     """
 
     def __init__(self, xi: Ordinal):
@@ -457,28 +410,63 @@ class Schreier(Family):
 
     def start(self) -> tuple:
         lam, k = _stage_parts(self.xi)
-        return lam, k, None
+        return lam, k, 1, 0, None
 
     @staticmethod
-    def step(state: tuple, v: int) -> tuple | None:
-        lam, k, stack = state
+    def step(frame: tuple, v: int) -> tuple | None:
+        lam, k = frame[0], frame[1]
         while True:
             if k:
                 # the first child block starts at v
                 k -= 1
-                stack = (lam, k, v, stack)
+                frame = (lam, k, v, frame[3] + 1, frame)
             elif lam is not None:
                 # delegate to fs(lam, v) + 1
                 lam, k = _stage_parts(ordinals.fund_seq(lam, v))
                 k += 1
             else:
                 break
-        while stack is not None:
-            lam, k, left, rest = stack
+        while frame is not None:
+            lam, k, left, depth, rest = frame
             if left > 1:
-                return lam, k, (lam, k, left - 1, rest)
-            stack = rest
+                return lam, k, left - 1, depth, rest
+            frame = rest
         return None
+
+    def segment_weights(self, at: Callable[[int], int], start: int,
+                        weights: dict[int, Fraction],
+                        cutoff: int | None = None) -> tuple[int, bool]:
+        """Walk the greedy segment from position start, mapping each point
+        to its repeated-averages weight.
+
+        ``at(i)`` is the stream's element at 0-based position i.  Returns
+        (length, closed): ``closed`` means the segment is maximal;
+        otherwise the next value exceeded ``cutoff`` after ``length``
+        points.  A point weighs one over the product of the block counts of
+        the frames it lies in, and ``dens[d]`` is that product down to
+        depth d.  If v's step lands deeper than its state, v opened that
+        many frames of v blocks each; otherwise v lies at its state's depth,
+        since a frame opened with v >= 2 blocks outlives the step that
+        opened it and one opened with a single block divides by 1.
+        """
+        state, step = self.start(), self.step
+        dens, weight, pos = [1], Fraction(1), start
+        while state is not None:
+            v = at(pos)
+            if cutoff is not None and v > cutoff:
+                return pos - start, False
+            depth = state[3]
+            state = step(state, v)
+            if state is not None and state[3] > depth:
+                del dens[depth + 1:]
+                for _ in range(state[3] - depth):
+                    dens.append(dens[-1] * v)
+                depth = state[3]
+            if dens[depth] != weight.denominator:
+                weight = Fraction(1, dens[depth])
+            weights[v] = weight
+            pos += 1
+        return pos - start, True
 
     def cb_index(self) -> CBIndex:
         return CBIndex(ordinals.add(ordinals.omega_pow(self.xi), ONE))

@@ -17,7 +17,7 @@ from typing import Callable
 
 from . import families, ordinals
 from .families import (Family, FinSet, LazySet, DEFAULT_PROBE_LIMIT,
-                       EnumerationLimitError, _stream_at, _walk,
+                       EnumerationLimitError, _max_segment, _stream_at,
                        partition_blocks, partition_indices, schreier_family)
 from .ordinals import Ordinal
 
@@ -79,12 +79,13 @@ def ravg_measure(xi: Ordinal, m: LazySet, n: int,
     """
     if n < 1:
         raise ValueError("measure index must be >= 1")
+    fam = schreier_family(xi)
     with m.probe_guard(probe_limit):
-        at, start = _stream_at(m), 0
+        start = 0
         for _ in range(n - 1):
-            start += _walk(xi, at, start)[0]
+            start += len(_max_segment(m, fam, start))
         weights: dict[int, Fraction] = {}
-        _walk(xi, at, start, weights)
+        fam.segment_weights(_stream_at(m), start, weights)
         return Measure.from_dict(weights)
 
 
@@ -96,11 +97,11 @@ def ravg_total_restricted(xi: Ordinal, m: LazySet, cutoff: int,
     stops at the first value above the cutoff, since every later point's
     weight vanishes under restriction.
     """
-    totals: dict[int, Fraction] = {}
+    fam, totals = schreier_family(xi), {}
     with m.probe_guard(probe_limit):
         at, start = _stream_at(m), 0
         while True:
-            length, closed = _walk(xi, at, start, totals, cutoff)
+            length, closed = fam.segment_weights(at, start, totals, cutoff)
             if not closed:
                 return totals
             start += length

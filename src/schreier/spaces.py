@@ -121,9 +121,6 @@ class DualCert:
         return sum((self.coefficient(k) * v for k, v in x.coords),
                    Fraction(0))
 
-    def fingerprint(self, keys) -> tuple:
-        return tuple(self.coefficient(k) for k in keys)
-
     def describe(self) -> dict:
         return self.meta
 
@@ -469,7 +466,7 @@ class ZEngine(NormEngine):
 
     def norm(self, x: Vector):
         self._check_keys(x)
-        info = self._norm_info(x)
+        info = self.norm_detail(x)
         cert = ZCert(value=info["t"], error_bound=info["err"],
                      c0=info["c0"], level_values=info["levels"],
                      level_weights=info["weights2"],
@@ -478,9 +475,6 @@ class ZEngine(NormEngine):
                            "splits": info["splits"]})
         return info["t"], cert
 
-    def norm_detail(self, x: Vector) -> dict:
-        return self._norm_info(x)
-
     def spec(self) -> dict:
         return {"kind": "z", "xi": ordinals.fmt(self.xi),
                 "base": self.base.spec(),
@@ -488,7 +482,9 @@ class ZEngine(NormEngine):
                             f"{self.vartheta.denominator}",
                 "tolerance": self.tolerance}
 
-    def _norm_info(self, x: Vector) -> dict:
+    def norm_detail(self, x: Vector) -> dict:
+        """The evaluation behind ``norm``: value, error bound, level values
+        and weights, iterates and splits."""
         positions = x.support
         levels = self._levels_for(float(x.l1()))
         memo: dict = {}

@@ -299,6 +299,14 @@ def _prefix_subsets(m: LazySet, prefix_len: int, max_samples: int):
         yield m.remove_finite(removed)
 
 
+def _average_norm(inst: Instance, mu: ravg.Measure):
+    """Norm of the mu-weighted combination of the instance vectors; mu's
+    support must lie within the prefix."""
+    y = combine([inst.vectors[i - 1] for i, _ in mu.weights],
+                [w for _, w in mu.weights])
+    return inst.engine.value(y)
+
+
 def ravg_null_test(inst: Instance, xi: Ordinal, m: LazySet, deltas=None,
                    depth: int = 3, prefix_len: int = 4,
                    max_samples: int = 12) -> RavgNullReport:
@@ -320,9 +328,7 @@ def ravg_null_test(inst: Instance, xi: Ordinal, m: LazySet, deltas=None,
                 raise ValueError(
                     f"prefix too short: averages need vectors up to index "
                     f"{mu.support[-1]}, have {inst.size}")
-            y = combine([inst.vectors[i - 1] for i in mu.support],
-                        [mu(i) for i in mu.support])
-            value = inst.engine.value(y)
+            value = _average_norm(inst, mu)
             delta = deltas(n)
             report.rows.append(RavgNullRow(sample=sample.describe, n=n,
                                            value=value, delta=delta,
@@ -399,9 +405,7 @@ def dichotomy_search(inst: Instance, xi: Ordinal, eps,
         mu = ravg.ravg_measure(xi, stream, 1)
         if mu.support and mu.support[-1] > inst.size:
             continue
-        y = combine([inst.vectors[i - 1] for i in mu.support],
-                    [mu(i) for i in mu.support])
-        value = inst.engine.value(y)
+        value = _average_norm(inst, mu)
         if best_ii is None or value < best_ii[0]:
             best_ii = (value, cand)
     if best_ii is not None and best_ii[0] <= eps:

@@ -6,6 +6,9 @@ import pytest
 from schreier.families import LazySet
 from schreier.spaces import Vector
 
+# stages at which the membership cursor and its weights are checked
+CURSOR_STAGES = ("0", "1", "2", "3", "w", "w+1", "w*2", "w^2", "w^2+w+3")
+
 
 def sample_lazy_sets(count: int = 20):
     """A deterministic battery of strictly increasing streams."""

@@ -109,6 +109,44 @@ def brute_stage_norm(xi, x) -> Fraction:
     return best
 
 
+def _brute_ravg_block(xi, values, start: int) -> tuple[dict, int]:
+    """(weights, next position) of the stage-xi measure whose support
+    starts at values[start]."""
+    if start >= len(values):
+        raise IndexError(f"the list ran out after {len(values)} values")
+    p = values[start]
+    if xi.is_zero:
+        return {p: Fraction(1)}, start + 1
+    if xi.is_limit:
+        return _brute_ravg_block(
+            ordinals.add(ordinals.fund_seq(xi, p), ordinals.ONE), values, start)
+    # p successive child measures take at least one value each
+    if start + p > len(values):
+        raise IndexError(f"the list ran out after {len(values)} values")
+    child = ordinals.successor_part(xi)
+    weights, pos = {}, start
+    for _ in range(p):
+        block, pos = _brute_ravg_block(child, values, pos)
+        for k, w in block.items():
+            weights[k] = w / p
+    return weights, pos
+
+
+def brute_ravg_measure(xi, values, n: int) -> dict:
+    """The n-th stage-xi repeated-averages measure on a finite increasing
+    list, as {point: weight}, straight from the recursive definition.
+
+    Stage 0 is the Dirac measure at the first value; stage zeta+1 averages
+    the p successive stage-zeta measures that start at the first value p;
+    a limit stage lam is stage fs(lam, p) + 1.  Raises IndexError once the
+    list runs out.
+    """
+    pos = 0
+    for _ in range(n):
+        weights, pos = _brute_ravg_block(xi, values, pos)
+    return weights
+
+
 def tree_segments(nodes) -> list[tuple]:
     """All (top, bottom) chains in a prefix-closed node set."""
     nodes = sorted(nodes)

@@ -7,7 +7,7 @@ import pytest
 from schreier import ordinals as o
 from schreier.families import (Compose, EmptyFamily, EmptySetOnly,
                                Family, Image, LazySet, Preimage, ProbeLimitError,
-                               UnionFamily, _walk, adm_family, cb_probe_rank,
+                               UnionFamily, adm_family, cb_probe_rank,
                                cb_symbolic, check_finset, check_limit_inclusion,
                                check_regularity, enumerate_restriction,
                                enumerate_within, family_from_spec,
@@ -17,7 +17,7 @@ from schreier.families import (Compose, EmptyFamily, EmptySetOnly,
                                schreier_family, set_from_spec,
                                truncation_maximal)
 
-from conftest import sample_lazy_sets
+from conftest import CURSOR_STAGES, sample_lazy_sets
 from oracles import (brute_compose_member, brute_ordinal_member,
                      brute_schreier_member)
 
@@ -63,9 +63,6 @@ def test_greedy_matches_bruteforce_decomposition():
                 (level, e)
 
 
-CURSOR_STAGES = ("0", "1", "2", "3", "w", "w+1", "w*2", "w^2", "w^2+w+3")
-
-
 def _fold(fam, e):
     """(elements consumed before the cursor closed, final state)."""
     state, count = fam.start(), 0
@@ -77,10 +74,6 @@ def _fold(fam, e):
     return count, state
 
 
-def _walk_of(xi, e):
-    return _walk(xi, lambda i: e[i] if i < len(e) else None, 0)
-
-
 def test_cursor_fold_matches_bruteforce_decomposition():
     for xi in CURSOR_STAGES:
         stage = o.parse(xi)
@@ -90,26 +83,16 @@ def test_cursor_fold_matches_bruteforce_decomposition():
             assert member == brute_ordinal_member(stage, e), (xi, e)
 
 
-def test_cursor_fold_matches_bulk_walk():
-    for xi in CURSOR_STAGES:
-        stage = o.parse(xi)
-        fam = schreier_family(stage)
-        for e in all_subsets(12):
-            count, state = _fold(fam, e)
-            assert (count, state is None) == _walk_of(stage, e), (xi, e)
-
-
 def test_cursor_state_decides_one_point_extensions():
     """A member's state is closed exactly when no one-point extension
-    within {1..12} is a member (membership read from the bulk walk)."""
+    within {1..12} is a member (membership read from the fold)."""
     for xi in CURSOR_STAGES:
-        stage = o.parse(xi)
-        fam = schreier_family(stage)
+        fam = schreier_family(o.parse(xi))
         for e in all_subsets(12):
-            if _walk_of(stage, e)[0] != len(e) or (e and e[-1] == 12):
+            count, state = _fold(fam, e)
+            if count != len(e) or (e and e[-1] == 12):
                 continue
-            state = _fold(fam, e)[1]
-            extends = any(_walk_of(stage, e + (v,))[0] == len(e) + 1
+            extends = any(_fold(fam, e + (v,))[0] == len(e) + 1
                           for v in range(e[-1] + 1 if e else 1, 13))
             assert (state is not None) == extends, (xi, e)
 

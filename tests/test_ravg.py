@@ -4,14 +4,15 @@ from fractions import Fraction
 import pytest
 
 from schreier import ordinals as o
-from schreier.families import (EmptySetOnly, LazySet, adm_family,
-                               feasible_depth, partition_blocks,
+from schreier.families import (EmptySetOnly, LazySet, ProbeLimitError,
+                               adm_family, feasible_depth, partition_blocks,
                                schreier_family)
 from schreier.ravg import (Measure, ProbBlock, block_validate, canonical_block,
                            convolve, fastgrow_check, ravg_measure,
                            ravg_total_restricted, sufficiency_sup)
 
-from conftest import sample_lazy_sets
+from conftest import CURSOR_STAGES, sample_lazy_sets
+from oracles import brute_ravg_measure
 
 HALF = Fraction(1, 2)
 
@@ -244,3 +245,64 @@ def test_restricted_totals_at_limit_stage():
             if k <= 20:
                 expect[k] = expect.get(k, Fraction(0)) + v
     assert totals == expect
+
+
+# values of each stream handed to the recursive oracle
+ORACLE_VALUES = 200
+
+
+def _oracle_streams():
+    """Fresh copies of the sample streams plus list streams from 1."""
+    return sample_lazy_sets() + [
+        LazySet.from_prefix(prefix, step) for prefix, step in (
+            ((1,), 2), ((1, 2), 3), ((1, 3, 4, 8), 1), ((1, 6, 7), 5))]
+
+
+def test_measures_match_recursive_definition():
+    """The cursor's weights equal the recursive definition's, and the
+    stream runs out under a probe limit exactly when the list does."""
+    compared = 0
+    for xi in CURSOR_STAGES:
+        stage = o.parse(xi)
+        for i, m in enumerate(_oracle_streams()):
+            values = m.prefix(ORACLE_VALUES)
+            for n in (1, 2, 3):
+                try:
+                    expect = brute_ravg_measure(stage, values, n)
+                except IndexError:
+                    with pytest.raises(ProbeLimitError):
+                        ravg_measure(stage, _oracle_streams()[i], n,
+                                     ORACLE_VALUES)
+                    continue
+                assert ravg_measure(stage, m, n) == \
+                    Measure.from_dict(expect), (xi, m.describe, n)
+                compared += 1
+    # deeper blocks at limit stages outgrow the list
+    assert compared >= 230
+
+
+def _brute_totals(stage, values, cutoff: int) -> dict:
+    """Weights of every point <= cutoff, one recursive measure per block."""
+    totals, pos, n = {}, 0, 1
+    while values[pos] <= cutoff:
+        mu = brute_ravg_measure(stage, values, n)
+        totals.update((k, w) for k, w in mu.items() if k <= cutoff)
+        pos, n = pos + len(mu), n + 1
+    return totals
+
+
+def test_restricted_totals_match_recursive_definition():
+    compared = 0
+    for xi in CURSOR_STAGES:
+        stage = o.parse(xi)
+        for m in _oracle_streams():
+            values = m.prefix(ORACLE_VALUES)
+            for cutoff in (10, 40, 200):
+                try:
+                    expect = _brute_totals(stage, values, cutoff)
+                except IndexError:
+                    continue
+                assert ravg_total_restricted(stage, m, cutoff) == expect, \
+                    (xi, m.describe, cutoff)
+                compared += 1
+    assert compared >= 152
