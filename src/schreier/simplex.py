@@ -20,13 +20,33 @@ cross-multiplying, since each row's denominator cancels within its ratio;
 ties go to the lower basis index.  The pivots are therefore exactly those
 of a Fraction tableau.
 
-The objective's reduced costs are carried as one extra row that every
-pivot updates like a constraint row, so an iteration prices the columns
-without recomputing them from the basis.  Optional tie-breaking objectives
-are minimized in turn over the optimal face of the objectives before them,
-in the same tableau: once an objective is optimal, every column with a
-positive reduced cost is zero on all of its optima and is barred from
-entering, and the next objective starts from the current basis.
+Each objective's reduced costs are carried as one row below the
+constraint rows that every pivot updates like a constraint row, so an
+iteration prices the columns without recomputing them from the basis.
+Optional tie-breaking objectives are minimized in turn over the optimal
+face of the objectives before them, in the same tableau: once an objective
+is optimal, every column with a positive reduced cost is zero on all of
+its optima and is barred from entering, and the next objective's row is
+appended and run from the current basis.  The rows of c and of every
+tie-breaking objective stay in the tableau.  A later stage enters only
+columns whose earlier reduced costs are zero, so its pivots leave the
+earlier rows unchanged, and at the end every column's vector of reduced
+costs (c, tiebreak_1, ...) is zero or has a positive first nonzero entry:
+the basis is lexicographically dual feasible.
+
+That is what a cutting-plane loop needs.  After each optimum an optional
+callback may return further <= rows.  Each is written in terms of the
+current basis with its own slack basic (every row gains a zero column
+before its right-hand side), which keeps the basis lexicographically dual
+feasible, and a lexicographic dual simplex restores feasibility: the
+leaving row is the one with the lowest basis index among those with a
+negative right-hand side, and the entering column is, among non-artificial
+columns with a negative entry in that row, the one whose reduced-cost
+vector over |entry| is lexicographically smallest (cross-multiplied; ties
+go to the lower column).  That is the dual Bland rule on the objective
+c + eps*tiebreak_1 + eps^2*tiebreak_2 + ... for small eps, so it
+terminates, and the basis it reaches is optimal for every objective in
+turn, as a cold solve of all the rows would be.
 """
 
 from __future__ import annotations
@@ -67,28 +87,26 @@ def _pivot(rows, dens, basis, row: int, col: int):
     basis[row] = col
 
 
-def _objective_row(rows, dens, basis, cost, width):
-    """Reduced costs of cost (padded with width zeros for the slack and
-    artificial columns) under the current basis, then minus its value, as
-    one int row and its denominator."""
-    terms = [(cost[b], r) for r, b in enumerate(basis)
-             if b < len(cost) and cost[b]]
-    den = lcm(*(v.denominator for v in cost),
-              *(cb.denominator * dens[r] for cb, r in terms))
-    row = [v.numerator * (den // v.denominator) for v in cost]
-    row += [0] * (width + 1)
+def _in_basis(rows, dens, basis, line, den):
+    """The row line / den with every basic column eliminated against its
+    unit row, as one reduced int row and its denominator: a cost's reduced
+    costs and minus its value, or a new constraint in terms of the basis."""
+    terms = [(line[b], r) for r, b in enumerate(basis) if line[b]]
+    scale = lcm(*(dens[r] for _, r in terms))
+    if scale > 1:
+        line = [v * scale for v in line]
     for cb, r in terms:
-        f = cb.numerator * (den // (cb.denominator * dens[r]))
-        row = [a - f * b for a, b in zip(row, rows[r])]
-    return _reduce(row, den)
+        f = cb * (scale // dens[r])
+        line = [a - f * b for a, b in zip(line, rows[r])]
+    return _reduce(line, den * scale)
 
 
 def _run(rows, dens, basis, allowed):
     """Optimize in place the objective held in the last tableau row."""
     m = len(basis)
-    ncols = len(rows[m]) - 1
+    ncols = len(rows[-1]) - 1
     while True:
-        objective = rows[m]
+        objective = rows[-1]
         enter = -1
         for j in range(ncols):
             if allowed[j] and objective[j] < 0:
@@ -112,14 +130,55 @@ def _run(rows, dens, basis, allowed):
         _pivot(rows, dens, basis, leave, enter)
 
 
-def solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), tiebreak=()):
+def _dual(rows, dens, basis, artificial):
+    """Restore nonnegative right-hand sides in place by the lexicographic
+    dual simplex; the objective rows follow the constraint rows."""
+    m = len(basis)
+    ncols = len(rows[0]) - 1
+    while True:
+        leave = -1
+        for r in range(m):
+            if rows[r][ncols] < 0 and (leave < 0 or basis[r] < basis[leave]):
+                leave = r
+        if leave < 0:
+            return
+        line, objectives = rows[leave], rows[m:]
+        enter = -1
+        for j in range(ncols):
+            size = -line[j]
+            if size <= 0 or j in artificial:
+                continue
+            if enter >= 0:
+                for objective in objectives:
+                    lhs, rhs = objective[j] * best, objective[enter] * size
+                    if lhs != rhs:
+                        break
+                if lhs >= rhs:
+                    continue
+            enter, best = j, size
+        if enter < 0:
+            raise LPError("linear program is infeasible")
+        _pivot(rows, dens, basis, leave, enter)
+
+
+def solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), tiebreak=(),
+             separate=None):
     """Returns (x, value) minimizing c.x, where value is c.x.
 
     Coefficients are ints or Fractions.  Each objective in tiebreak is then
     minimized over the optimal face of c and the tiebreak objectives before
     it, so unit objectives e_1, e_2, ... select the lexicographically
     smallest optimum.  Raises LPError when the program is infeasible or
-    unbounded, or when an inequality row has a negative right-hand side.
+    unbounded, or when an inequality row of a_ub has a negative right-hand
+    side.
+
+    separate, if given, is called as separate(x, value) after each optimum
+    and returns further inequality rows as (coefficients, rhs) pairs, whose
+    rhs may have either sign; they join the live tableau, which the dual
+    simplex re-optimizes.  The program with those rows added is solved to
+    the same (x, value) a cold solve of all the rows would return whenever
+    the tie-breaking objectives make its optimum unique.  The loop ends when
+    separate returns no row; the rows passed in are never appended to.
     """
     n = len(c)
     m1, m2 = len(a_ub), len(a_eq)
@@ -142,19 +201,21 @@ def solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), tiebreak=()):
     for i, (row, b) in enumerate(zip(a_eq, b_eq)):
         add_row(row, b, n + m1 + i, -1 if b < 0 else 1)
 
-    def optimize(cost, width):
-        """Run the objective cost, padded with width zero costs, from the
-        current basis; returns its final reduced-cost row and that row's
-        denominator."""
-        row, den = _objective_row(rows, dens, basis, cost, width)
+    def push_objective(cost):
+        """Append the row of cost, padded with zero costs to every column,
+        under the current basis and optimize it."""
+        ints, den = _scaled(cost)
+        row, den = _in_basis(rows, dens, basis,
+                             ints + [0] * (ncols + 1 - len(cost)), den)
         rows.append(row)
         dens.append(den)
         _run(rows, dens, basis, allowed)
-        return rows.pop(), dens.pop()
 
     allowed = [True] * ncols
     if m2:
-        if optimize([0] * (n + m1) + [1] * m2, 0)[0][ncols] != 0:
+        push_objective([0] * (n + m1) + [1] * m2)
+        dens.pop()
+        if rows.pop()[ncols] != 0:
             raise LPError("linear program is infeasible")
         # pivot surviving artificials out or leave them at zero, but never
         # let them re-enter
@@ -167,16 +228,32 @@ def solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), tiebreak=()):
                         _pivot(rows, dens, basis, r, j)
                         break
 
-    value = None
     for objective in (c, *tiebreak):
-        reduced, den = optimize(objective, m1 + m2)
-        if value is None:
-            value = Fraction(-reduced[ncols], den)
+        push_objective(objective)
+        reduced = rows[-1]
         for j in range(ncols):
             if reduced[j] > 0:
                 allowed[j] = False
-    x = [Fraction(0)] * n
-    for r, b in enumerate(basis):
-        if b < n:
-            x[b] = Fraction(rows[r][ncols], dens[r])
-    return x, value
+
+    artificial = range(n + m1, ncols)
+    while True:
+        x = [Fraction(0)] * n
+        for r, b in enumerate(basis):
+            if b < n:
+                x[b] = Fraction(rows[r][-1], dens[r])
+        m = len(basis)  # the row of c follows the constraint rows
+        value = Fraction(-rows[m][-1], dens[m])
+        cuts = separate(x, value) if separate is not None else ()
+        if not cuts:
+            return x, value
+        for coeffs, b in cuts:
+            ints, den = _scaled([*coeffs, b])
+            for row in rows:
+                row.insert(-1, 0)
+            slack = len(rows[0]) - 2
+            line = ints[:n] + [0] * (slack - n) + [den, ints[n]]
+            line, den = _in_basis(rows, dens, basis, line, den)
+            rows.insert(len(basis), line)
+            dens.insert(len(basis), den)
+            basis.append(slack)
+        _dual(rows, dens, basis, artificial)

@@ -30,9 +30,8 @@ class Vector:
 
     @staticmethod
     def from_dict(d: dict) -> "Vector":
-        items = tuple(sorted((k, Fraction(v)) for k, v in d.items()
-                             if Fraction(v) != 0))
-        return Vector(items)
+        return Vector(tuple(sorted((k, x) for k, v in d.items()
+                                   if (x := Fraction(v)))))
 
     @staticmethod
     def basis(key) -> "Vector":

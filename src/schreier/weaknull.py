@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 
 from . import families, ordinals, ravg
 from .families import FinSet, LazySet, check_finset, schreier_family
@@ -63,16 +64,27 @@ def min_convex(inst: Instance, f, signs=None, max_rounds: int = 500,
                grid_denominator: int = 12) -> MinConvexResult:
     """Minimize the norm over the simplex of signed members indexed by f.
 
-    Exact engines: cutting planes with an exact LP; terminates because the
+    Exact engines: cutting planes on one exact LP; terminates because the
     engine draws certificates from finitely many admissible configurations
-    on a fixed support and each round adds a violated one.  Every
-    relaxation is solved with e_1, ..., e_k as tie-breaking objectives, so
-    its candidate is the lexicographically smallest of its optima.  Cuts are
+    on a fixed support and each round adds a violated one.  The relaxation
+    is solved with e_1, ..., e_k as tie-breaking objectives, so its
+    candidate is the lexicographically smallest of its optima.  Cuts are
     valid lower bounds, so each relaxation's optima contain the true ones;
     when the bound closes, the candidate is a true optimum and hence the
     lexicographically smallest minimizer, which is returned without a
-    separate refinement.  Non-exact engines fall back to a grid search with
-    a reported gap bound.
+    separate refinement.
+
+    There is one ``solve_lp`` call: the separation step (combine, engine
+    norm, new cuts) is its callback, and each round's cuts join the live
+    tableau, which the dual simplex re-optimizes instead of solving the
+    relaxation again from scratch.  Cuts are int rows: the signed vectors
+    are scaled once over one common denominator and each certificate's
+    coefficients over their own, so a certificate f gives the gcd-reduced
+    row (f(v_1), ..., f(v_k), -den) of sum_i f(v_i) x_i <= t, and its
+    negation by symmetry of the norm.  A row already present is dropped;
+    the violated cut of a round is never one of them, as it exceeds the
+    bound at the candidate, where every present row is within it.
+    Non-exact engines fall back to a grid search with a reported gap bound.
     """
     f = check_finset(f)
     if not f:
@@ -85,49 +97,58 @@ def min_convex(inst: Instance, f, signs=None, max_rounds: int = 500,
         return _min_convex_grid(inst, vecs, grid_denominator)
 
     support = sorted({k for v in vecs for k in v.support})
+    position = {key: p for p, key in enumerate(support)}
+    den = lcm(*(c.denominator for v in vecs for _, c in v.coords))
+    scaled = [[(position[key], c.numerator * (den // c.denominator))
+               for key, c in v.coords] for v in vecs]
     k = len(f)
-    rows: list[list[Fraction]] = []
-    fingerprints: set[tuple] = set()
+    present: set[tuple] = set()
 
-    def add_cert(cert) -> bool:
-        added = False
+    def cuts(cert) -> list:
+        """The rows of the certificate's cut and of its negation, those
+        not yet present."""
         base = [cert.coefficient(key) for key in support]
-        values = None
-        for sgn in (1, -1):
-            fp = tuple(sgn * c for c in base)
-            if fp in fingerprints:
-                continue
-            fingerprints.add(fp)
-            if values is None:
-                values = [cert.evaluate(v) for v in vecs]
-            rows.append([sgn * v for v in values])
-            added = True
-        return added
+        cden = lcm(*(c.denominator for c in base))
+        coef = [c.numerator * (cden // c.denominator) for c in base]
+        row = [sum(coef[p] * c for p, c in v) for v in scaled]
+        row.append(-cden * den)
+        g = gcd(*row)
+        row = [v // g for v in row]
+        out = []
+        for line in (row, [-v for v in row[:k]] + row[k:]):
+            key = tuple(line)
+            if key not in present:
+                present.add(key)
+                out.append(line)
+        return out
 
+    initial = []
     for v in vecs:
-        add_cert(inst.engine.norm(v)[1])
-    units = [[Fraction(int(i == j)) for j in range(k + 1)] for i in range(k)]
+        initial += cuts(inst.engine.norm(v)[1])
 
     rounds = 0
-    while True:
+    closed = None
+
+    def separate(x, t_star):
+        nonlocal rounds, closed
         rounds += 1
         if rounds > max_rounds:
             raise RuntimeError("cutting plane loop exceeded its round limit")
-        a_ub = [row + [Fraction(-1)] for row in rows]
-        b_ub = [Fraction(0)] * len(a_ub)
-        a_eq = [[Fraction(1)] * k + [Fraction(0)]]
-        x, t_star = solve_lp([Fraction(0)] * k + [Fraction(1)],
-                             a_ub, b_ub, a_eq, [Fraction(1)],
-                             tiebreak=units)
         coeffs = tuple(x[:k])
-        y = combine(vecs, coeffs)
-        value, cert = inst.engine.norm(y)
+        value, cert = inst.engine.norm(combine(vecs, coeffs))
         if value <= t_star:
-            break
-        if not add_cert(cert):
+            closed = value, coeffs
+            return ()
+        new = cuts(cert)
+        if not new:
             raise RuntimeError("stalled cut: certificate already present "
                                "but the bound did not close")
+        return [(line, 0) for line in new]
 
+    solve_lp([0] * k + [1], initial, [0] * len(initial), [[1] * k + [0]], [1],
+             tiebreak=[[int(i == j) for j in range(k + 1)] for i in range(k)],
+             separate=separate)
+    value, coeffs = closed
     return MinConvexResult(value=value, coefficients=coeffs, exact=True,
                            rounds=rounds)
 

@@ -553,6 +553,60 @@ def reference_lex_min_convex(engine, vectors, f, signs=None) -> tuple:
     return tuple(x)
 
 
+def reference_cutting_plane_min_convex(engine, vectors, f,
+                                       signs=None) -> tuple:
+    """The library's earlier cutting-plane loop, kept verbatim: every round
+    solves its relaxation cold with ``reference_tableau_solve_lp`` and
+    e_1, ..., e_k as tie-breaking objectives, and a certificate is told
+    apart from the ones before it by its coefficients on the support.
+    Returns (value, coefficients, rounds)."""
+    vecs = _signed(vectors, f, signs)
+    support = sorted({k for v in vecs for k in v.support})
+    k = len(f)
+    rows: list[list[Fraction]] = []
+    fingerprints: set[tuple] = set()
+
+    def add_cert(cert) -> bool:
+        added = False
+        base = [cert.coefficient(key) for key in support]
+        values = None
+        for sgn in (1, -1):
+            fp = tuple(sgn * c for c in base)
+            if fp in fingerprints:
+                continue
+            fingerprints.add(fp)
+            if values is None:
+                values = [cert.evaluate(v) for v in vecs]
+            rows.append([sgn * v for v in values])
+            added = True
+        return added
+
+    for v in vecs:
+        add_cert(engine.norm(v)[1])
+    units = [[Fraction(int(i == j)) for j in range(k + 1)] for i in range(k)]
+
+    rounds = 0
+    while True:
+        rounds += 1
+        if rounds > 500:
+            raise RuntimeError("cutting plane loop exceeded its round limit")
+        a_ub = [row + [Fraction(-1)] for row in rows]
+        b_ub = [Fraction(0)] * len(a_ub)
+        a_eq = [[Fraction(1)] * k + [Fraction(0)]]
+        x, t_star = reference_tableau_solve_lp(
+            [Fraction(0)] * k + [Fraction(1)], a_ub, b_ub, a_eq,
+            [Fraction(1)], tiebreak=units)
+        coeffs = tuple(x[:k])
+        y = combine(vecs, coeffs)
+        value, cert = engine.norm(y)
+        if value <= t_star:
+            break
+        if not add_cert(cert):
+            raise RuntimeError("stalled cut: certificate already present "
+                               "but the bound did not close")
+    return value, coeffs, rounds
+
+
 def grid_min(engine, vectors, f, signs=None, max_denominator=6) -> Fraction:
     """Minimum over simplex points with small denominators and vertices."""
     signs = signs or (1,) * len(f)

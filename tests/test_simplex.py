@@ -238,3 +238,119 @@ def test_pivot_keeps_rows_reduced_and_exact():
             for r in range(m):
                 assert dens[r] > 0 and gcd(dens[r], *rows[r]) == 1
                 assert [F(v, dens[r]) for v in rows[r]] == fracs[r]
+
+
+def _reference_with_cuts(c, ub, eq, tiebreak):
+    """(x, value) of a cold solve of all the rows, or None when it raises.
+
+    A <= row with a negative right-hand side becomes an equality row with a
+    surplus variable of its own, which the reference solvers accept."""
+    n = len(c)
+    neg = [(a, b) for a, b in ub if b < 0]
+    pad = lambda row: list(row) + [0] * len(neg)
+    a_ub = [pad(a) for a, b in ub if b >= 0]
+    b_ub = [b for _, b in ub if b >= 0]
+    a_eq = [pad(a) for a, _ in eq] + [
+        list(a) + [int(i == j) for j in range(len(neg))]
+        for i, (a, _) in enumerate(neg)]
+    b_eq = [b for _, b in eq] + [b for _, b in neg]
+    try:
+        if tiebreak:
+            x, values = reference_sequential_lex(
+                [pad(c)] + [pad(t) for t in tiebreak], a_ub, b_ub, a_eq, b_eq)
+            return x[:n], values[0]
+        x, value = reference_solve_lp(pad(c), a_ub, b_ub, a_eq, b_eq)
+        return x[:n], value
+    except LPError:
+        return None
+
+
+def _unique_optimum(c, ub, eq):
+    """Whether the optimal face is one point: its lexicographically
+    smallest and largest points agree."""
+    n = len(c)
+    units = [[int(i == j) for j in range(n)] for i in range(n)]
+    lo = _reference_with_cuts(c, ub, eq, units)
+    hi = _reference_with_cuts(c, ub, eq, [[-v for v in u] for u in units])
+    return lo == hi
+
+
+def _cut_lp(rng):
+    """A bounded LP split into initial rows and a hidden pool of rows."""
+    n = rng.randint(2, 4)
+    row = lambda: [rng.randint(-3, 3) for _ in range(n)]
+    bound = rng.randint(1, 6)
+    ub = [([1] * n, bound)] + [(row(), rng.randint(0, 4))
+                               for _ in range(rng.randint(0, 2))]
+    eq = [([rng.randint(0, 2) for _ in range(n)], rng.randint(0, 3))
+          for _ in range(rng.random() < 0.3)]
+    pool = [(row(), rng.randint(-1, 5)) for _ in range(rng.randint(1, 6))]
+    return [rng.randint(-3, 3) for _ in range(n)], ub, eq, pool, bound
+
+
+def test_separate_matches_a_cold_solve_of_all_the_rows(monkeypatch):
+    seen = {"dual pivots": 0, "one row": 0, "several rows": 0,
+            "degenerate": 0, "infeasible cut": 0, "infeasible start": 0,
+            "solved": 0}
+    released = [False]
+    pivot = simplex._pivot
+
+    def checked_pivot(rows, dens, basis, row, col):
+        pivot(rows, dens, basis, row, col)
+        seen["dual pivots"] += released[0]
+        for line, den in zip(rows, dens):
+            assert den > 0 and gcd(den, *line) == 1
+        for r, b in enumerate(basis):
+            assert [line[b] for line in rows] == \
+                [dens[r] if i == r else 0 for i in range(len(rows))]
+
+    monkeypatch.setattr(simplex, "_pivot", checked_pivot)
+    rng = random.Random(20261019)
+    for trial in range(200):
+        c, ub, eq, pool, bound = _cut_lp(rng)
+        n = len(c)
+        tiebreak = [[int(i == j) for j in range(n)] for i in range(n)] \
+            if trial % 2 else []
+        infeasible_at = rng.randint(1, 3) if rng.random() < 0.2 else 0
+        rows = list(ub)
+        calls = [0]
+        last = []
+
+        def separate(x, value):
+            want = _reference_with_cuts(c, rows, eq, tiebreak)
+            assert want is not None and value == want[1], (c, rows, eq)
+            if tiebreak or _unique_optimum(c, rows, eq):
+                assert x == want[0], (c, rows, eq)
+            _assert_feasible(x, (c, [a for a, _ in rows],
+                                 [b for _, b in rows],
+                                 [a for a, _ in eq], [b for _, b in eq]))
+            calls[0] += 1
+            last[:] = x, value
+            released[0] = True
+            new = [pool.pop() for _ in range(min(len(pool),
+                                                 rng.randint(1, 3)))]
+            if rng.random() < 0.3:
+                a = [rng.randint(-3, 3) for _ in range(n)]
+                new.append((a, sum(v * w for v, w in zip(a, x))))
+                seen["degenerate"] += 1
+            if calls[0] == infeasible_at:
+                new.append(([-1] * n, -bound - 1))
+            seen["one row"] += len(new) == 1
+            seen["several rows"] += len(new) > 1
+            rows.extend(new)
+            return new
+
+        released[0] = False
+        a_ub = [a for a, _ in ub]
+        try:
+            got = solve_lp(c, a_ub, [b for _, b in ub],
+                           [a for a, _ in eq], [b for _, b in eq],
+                           tiebreak=tiebreak, separate=separate)
+        except LPError:
+            assert _reference_with_cuts(c, rows, eq, tiebreak) is None
+            seen["infeasible cut" if calls[0] else "infeasible start"] += 1
+            continue
+        assert not pool and list(got) == last
+        assert a_ub == [a for a, _ in ub]  # the cuts never join the input
+        seen["solved"] += 1
+    assert all(seen.values()), seen

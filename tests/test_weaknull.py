@@ -1,18 +1,24 @@
+import collections
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
+import oracles
 from schreier import ordinals as o
+from schreier import simplex, weaknull
 from schreier.families import LazySet
-from schreier.spaces import (L1Engine, SchreierEngine, SupEngine, Vector,
-                             ZEngine, combine)
+from schreier.spaces import (ExEngine, L1Engine, MixedEngine, SchreierEngine,
+                             SupEngine, Vector, ZEngine, combine)
 from schreier.weaknull import (Instance, dichotomy_search, f_membership,
                                min_convex, ravg_null_test,
                                spreading_certificate)
 
 from conftest import random_vector
-from oracles import full_dual_min_convex, grid_min, reference_lex_min_convex
+from oracles import (full_dual_min_convex, grid_min,
+                     reference_cutting_plane_min_convex,
+                     reference_lex_min_convex)
 
 HALF = Fraction(1, 2)
 S1E = SchreierEngine(o.ONE)
@@ -109,6 +115,58 @@ def test_min_convex_argmin_reevaluates(rng):
         y = combine([inst.vectors[i - 1] for i in f], r.coefficients)
         assert inst.engine.value(y) == r.value
         assert sum(r.coefficients) == 1
+
+
+def cutting_plane_battery():
+    """(engine, vectors, f, signs) on six exact engines, two of whose
+    certificates have only a coefficient function; every sequence holds a
+    zero vector, and every set is tried with plain and alternating signs."""
+    rng = random.Random(20261019)
+    classes = [LazySet.arithmetic(i, 3) for i in range(1, 4)]
+    engines = (L1Engine(), SupEngine(), S1E,
+               MixedEngine([o.ONE, o.from_int(2)]),
+               ExEngine(L1Engine(), classes), ExEngine(S1E, classes))
+    for engine in engines:
+        vecs = [random_vector(rng, range(1, 8), 3) for _ in range(5)]
+        vecs.insert(rng.randrange(6), Vector.zero())
+        for r in (2, 3):
+            for f in itertools.combinations(range(1, 7), r):
+                for signs in (None, tuple((-1) ** i for i in range(r))):
+                    yield engine, vecs, f, signs
+
+
+def test_min_convex_matches_the_cold_cutting_plane_loop():
+    for engine, vecs, f, signs in cutting_plane_battery():
+        got = min_convex(Instance(engine, vecs), f, signs)
+        want = reference_cutting_plane_min_convex(engine, vecs, f, signs)
+        assert (got.value, got.coefficients, got.rounds) == want, \
+            (engine.spec(), vecs, f, signs)
+
+
+def test_min_convex_makes_one_lp_and_fewer_pivots(monkeypatch):
+    # the reference loop's Fraction tableau makes the pivots the integer
+    # tableau made when every round was solved cold
+    counts = collections.Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(weaknull, "solve_lp",
+                        counting("lp", weaknull.solve_lp))
+    monkeypatch.setattr(simplex, "_pivot", counting("pivot", simplex._pivot))
+    monkeypatch.setattr(oracles, "_fraction_pivot",
+                        counting("cold pivot", oracles._fraction_pivot))
+    calls = 0
+    for engine, vecs, f, signs in cutting_plane_battery():
+        got = min_convex(Instance(engine, vecs), f, signs)
+        _, _, rounds = reference_cutting_plane_min_convex(engine, vecs, f,
+                                                          signs)
+        calls += 1
+        assert counts["lp"] == calls and got.rounds == rounds
+    assert counts["pivot"] < counts["cold pivot"], counts
 
 
 def test_min_convex_z_engine_reports_gap():
