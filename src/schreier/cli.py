@@ -232,7 +232,8 @@ def cmd_certify_ravg(args):
     inst = _instance(args)
     xi = ordinals.parse(args.xi)
     report = weaknull.ravg_null_test(inst, xi, set_from_cli(args.set),
-                                     depth=args.depth)
+                                     depth=args.depth,
+                                     probe_limit=args.probe_limit)
     rows = [["sample", "n", "value", "delta", "ok"]]
     result_rows = []
     for r in report.rows:

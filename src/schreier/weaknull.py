@@ -74,16 +74,19 @@ def min_convex(inst: Instance, f, signs=None, max_rounds: int = 500,
     lexicographically smallest minimizer, which is returned without a
     separate refinement.
 
-    There is one ``solve_lp`` call: the separation step (combine, engine
-    norm, new cuts) is its callback, and each round's cuts join the live
-    tableau, which the dual simplex re-optimizes instead of solving the
-    relaxation again from scratch.  Cuts are int rows: the signed vectors
-    are scaled once over one common denominator and each certificate's
-    coefficients over their own, so a certificate f gives the gcd-reduced
-    row (f(v_1), ..., f(v_k), -den) of sum_i f(v_i) x_i <= t, and its
-    negation by symmetry of the norm.  A row already present is dropped;
-    the violated cut of a round is never one of them, as it exceeds the
-    bound at the candidate, where every present row is within it.
+    There is one ``solve_lp`` call, a lexicographic dual simplex from the
+    slack basis: the costs t and e_1, ..., e_k are nonnegative, so that
+    basis is dual feasible, and sum x = 1 enters as the row -sum x <= -1
+    beside the initial cuts.  The separation step (combine, engine norm, new
+    cuts) is its callback, and each round's cuts join the live tableau
+    through the same row path, so the dual simplex re-optimizes instead of
+    solving the relaxation again from scratch.  Cuts are int rows: the
+    signed vectors are scaled once over one common denominator and each
+    certificate's coefficients over their own, so a certificate f gives the
+    gcd-reduced row (f(v_1), ..., f(v_k), -den) of sum_i f(v_i) x_i <= t,
+    and its negation by symmetry of the norm.  A row already present is
+    dropped; the violated cut of a round is never one of them, as it exceeds
+    the bound at the candidate, where every present row is within it.
     Non-exact engines fall back to a grid search with a reported gap bound.
     """
     f = check_finset(f)
@@ -145,7 +148,12 @@ def min_convex(inst: Instance, f, signs=None, max_rounds: int = 500,
                                "but the bound did not close")
         return [(line, 0) for line in new]
 
-    solve_lp([0] * k + [1], initial, [0] * len(initial), [[1] * k + [0]], [1],
+    # sum x = 1 enters as -sum x <= -1.  Every other row has rhs 0, so if a
+    # lex-min (x, t) had sum x = s > 1, then (x/s, t/s) would be feasible and
+    # lexicographically smaller: t/s < t if t > 0, and otherwise the first
+    # nonzero x_i shrinks.  The lex-min therefore has sum x = 1.
+    solve_lp([0] * k + [1], initial + [[-1] * k + [0]],
+             [0] * len(initial) + [-1],
              tiebreak=[[int(i == j) for j in range(k + 1)] for i in range(k)],
              separate=separate)
     value, coeffs = closed
@@ -330,11 +338,15 @@ def _average_norm(inst: Instance, mu: ravg.Measure):
 
 def ravg_null_test(inst: Instance, xi: Ordinal, m: LazySet, deltas=None,
                    depth: int = 3, prefix_len: int = 4,
-                   max_samples: int = 12) -> RavgNullReport:
+                   max_samples: int = 12,
+                   probe_limit: int = families.DEFAULT_PROBE_LIMIT
+                   ) -> RavgNullReport:
     """Compare averaged-combination norms against a decay schedule.
 
     For sampled substreams and block indices n, the stage-xi average of the
     instance vectors must have norm strictly below delta_n (default 1/n).
+    Each average's measure may materialize at most probe_limit elements of
+    its substream.
     """
     if deltas is None:
         deltas = lambda n: Fraction(1, n)
@@ -344,7 +356,7 @@ def ravg_null_test(inst: Instance, xi: Ordinal, m: LazySet, deltas=None,
     report = RavgNullReport()
     for sample in _prefix_subsets(m, prefix_len, max_samples):
         for n in range(1, depth + 1):
-            mu = ravg.ravg_measure(xi, sample, n)
+            mu = ravg.ravg_measure(xi, sample, n, probe_limit=probe_limit)
             if mu.support and mu.support[-1] > inst.size:
                 raise ValueError(
                     f"prefix too short: averages need vectors up to index "

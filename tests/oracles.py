@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import lcm
 
 from schreier import ordinals
 from schreier.simplex import LPError
@@ -171,7 +172,8 @@ _ANTICHAIN_CACHE: dict = {}
 
 
 def tree_antichain_families(nodes):
-    """All maximal families of pairwise incomparable segments.
+    """(segments, families): every segment's nodes, and all maximal families
+    of pairwise incomparable segments as lists of segment indices.
 
     Maximal antichains are the maximal cliques of the compatibility graph,
     enumerated once per tree by Bron-Kerbosch; segment values are
@@ -202,23 +204,23 @@ def tree_antichain_families(nodes):
             x = x | {v}
 
     bk(set(), set(range(n)), set())
-    families = [[_segment_nodes(segs[i]) for i in clique]
-                for clique in cliques]
-    _ANTICHAIN_CACHE[key] = families
-    return families
+    hit = [_segment_nodes(seg) for seg in segs], cliques
+    _ANTICHAIN_CACHE[key] = hit
+    return hit
 
 
 def brute_tree_norm(nodes, x) -> Fraction:
-    """Max over families of pairwise incomparable segments."""
-    vals = dict(x.coords)
-    best = Fraction(0)
-    for family in tree_antichain_families(nodes):
-        total = Fraction(0)
-        for seg_nodes in family:
-            total += max(abs(vals.get(u, Fraction(0))) for u in seg_nodes)
-        if total > best:
-            best = total
-    return best
+    """Max over families of pairwise incomparable segments of the sum of
+    each segment's largest |coordinate|.
+
+    The coordinates are taken as ints over their common denominator, each
+    segment's largest one is found once, and each family sums in ints."""
+    segments, families = tree_antichain_families(nodes)
+    den = lcm(*(c.denominator for _, c in x.coords))
+    vals = {u: abs(c.numerator) * (den // c.denominator) for u, c in x.coords}
+    seg_max = [max(vals.get(u, 0) for u in seg) for seg in segments]
+    return Fraction(max(sum(seg_max[i] for i in family)
+                        for family in families), den)
 
 
 def _forest_shape(forest, site=()):

@@ -152,6 +152,23 @@ def test_certify_ravg(capsys):
     assert artifact(out)["passed"]
 
 
+def test_certify_ravg_honours_the_probe_limit(capsys):
+    vectors = json.dumps([{"coords": [[k, "1"]]} for k in range(1, 12)])
+    argv = ["certify", "ravg", "--engine", '{"kind":"sup"}', "--vectors",
+            vectors, "--xi", "1", "--set", "arith:3:1", "--depth", "1"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    result = artifact(out)
+    assert result["passed"]
+    assert [row["value"] for row in result["rows"]] == [
+        "1/3", "1/4", "1/3", "1/5", "1/3", "1/4", "1/3", "1/6", "1/3", "1/4",
+        "1/3", "1/5", "1/3"]
+    # the default budget is the one the option names
+    assert run(capsys, *argv, "--probe-limit", "1000000") == (code, out, "")
+    code, _, err = run(capsys, *argv, "--probe-limit", "1")
+    assert code == 3 and "bound exhausted" in err
+
+
 def test_usage_and_bound_errors(capsys):
     code, _, err = run(capsys, "family", "cb", "--spec", '{"type":"nope"}')
     assert code == 1 and "error" in err

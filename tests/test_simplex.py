@@ -7,54 +7,18 @@ import pytest
 from schreier import simplex
 from schreier.simplex import LPError, solve_lp
 
-from oracles import (reference_sequential_lex, reference_solve_lp,
-                     reference_tableau_solve_lp)
+from oracles import reference_sequential_lex, reference_solve_lp
 
 F = Fraction
 
 
-def test_basic_minimization():
-    x, v = solve_lp([F(-1), F(-2)], [[1, 1], [1, 0]], [4, 2])
-    assert v == -8 and x == [F(0), F(4)]
-
-
-def test_equality_constraints():
-    x, v = solve_lp([F(1), F(1)], [], [], [[1, 2]], [F(3)])
-    assert v == F(3, 2) and x == [F(0), F(3, 2)]
-
-
-def test_degenerate_does_not_cycle():
-    # multiple ties in the ratio test; Bland's rule must terminate
-    x, v = solve_lp([F(-3, 4), F(150), F(-1, 50), F(6)],
-                    [[F(1, 4), -60, F(-1, 25), 9],
-                     [F(1, 2), -90, F(-1, 50), 3],
-                     [0, 0, 1, 0]],
-                    [0, 0, 1])
-    assert v == F(-1, 20)
-
-
-def test_infeasible():
-    with pytest.raises(LPError):
-        solve_lp([F(0)], [[1]], [F(1, 2)], [[1]], [2])
-
-
-def test_unbounded():
-    with pytest.raises(LPError):
-        solve_lp([F(-1)], [], [])
-
-
-def test_negative_rhs_rejected_for_inequalities():
-    with pytest.raises(LPError):
-        solve_lp([F(1)], [[1]], [-1])
-
-
-def _random_lp(rng):
-    n = rng.randint(1, 4)
-    row = lambda: [F(rng.randint(-3, 3)) for _ in range(n)]
-    a_ub = [row() for _ in range(rng.randint(0, 3))]
-    a_eq = [row() for _ in range(rng.randint(0, 2))]
-    return (row(), a_ub, [F(rng.randint(0, 4)) for _ in a_ub],
-            a_eq, [F(rng.randint(-3, 3)) for _ in a_eq])
+def _dual(c, a_ub, b_ub):
+    """The LP dual of min c.x, a_ub x <= b_ub, x >= 0 with b_ub >= 0:
+    min b_ub.u subject to -a_ub^T u <= c and u >= 0.  Its costs are
+    nonnegative, its rows have either sign, and by strong duality its value
+    is minus the primal optimum."""
+    return (list(b_ub),
+            [[-row[j] for row in a_ub] for j in range(len(c))], list(c))
 
 
 def _outcome(solver, lp, **kwargs):
@@ -65,68 +29,189 @@ def _outcome(solver, lp, **kwargs):
 
 
 def _assert_feasible(x, lp):
-    _, a_ub, b_ub, a_eq, b_eq = lp
-    dot = lambda row: sum(a * v for a, v in zip(row, x))
+    _, a_ub, b_ub = lp
     assert all(v >= 0 for v in x)
-    assert all(dot(row) <= b for row, b in zip(a_ub, b_ub))
-    assert all(dot(row) == b for row, b in zip(a_eq, b_eq))
+    assert all(sum(a * v for a, v in zip(row, x)) <= b
+               for row, b in zip(a_ub, b_ub))
+
+
+def _assert_dual_matches(lp):
+    """Solving the dual of the primal lp gives minus its reference optimum,
+    and raises exactly when the primal is unbounded."""
+    got = _outcome(solve_lp, _dual(*lp))
+    want = _outcome(reference_solve_lp, lp)
+    assert (got is None) == (want is None), lp
+    if got is not None:
+        u, value = got
+        assert value == -want[1], lp
+        _assert_feasible(u, _dual(*lp))
+        assert sum(a * v for a, v in zip(lp[2], u)) == value
+    return got is not None
+
+
+def _reference(c, lp, tiebreak=()):
+    """(x, values) of the objectives c, *tiebreak minimized in turn over all
+    of lp's rows, or None when the program is infeasible or an objective
+    is unbounded.
+
+    A row with a negative right-hand side becomes an equality row with a
+    surplus variable of its own, which the reference solvers accept."""
+    _, a_ub, b_ub = lp
+    n = len(c)
+    neg = [(a, b) for a, b in zip(a_ub, b_ub) if b < 0]
+    pad = lambda row: list(row) + [0] * len(neg)
+    rows = [(pad(a), b) for a, b in zip(a_ub, b_ub) if b >= 0]
+    a_eq = [list(a) + [int(i == j) for j in range(len(neg))]
+            for i, (a, _) in enumerate(neg)]
+    try:
+        x, values = reference_sequential_lex(
+            [pad(c)] + [pad(t) for t in tiebreak], [a for a, _ in rows],
+            [b for _, b in rows], a_eq, [b for _, b in neg])
+    except LPError:
+        return None
+    return x[:n], values
+
+
+def _units(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _unique_optimum(lp):
+    """Whether the optimal face is one point: its lexicographically
+    smallest and largest points agree, and the largest exists."""
+    c, n = lp[0], len(lp[0])
+    lo = _reference(c, lp, _units(n))
+    hi = _reference(c, lp, [[-v for v in u] for u in _units(n)])
+    return hi is not None and lo[0] == hi[0]
+
+
+def _lex_nonnegative(costs):
+    """costs with every column whose first nonzero entry is negative
+    negated, so each column's cost vector is lexicographically >= 0."""
+    for j in range(len(costs[0])):
+        first = next((row[j] for row in costs if row[j]), 0)
+        if first < 0:
+            for row in costs:
+                row[j] = -row[j]
+    return costs
+
+
+def _random_lp(rng, draw=lambda rng: F(rng.randint(-3, 3))):
+    """Nonnegative costs and rows with right-hand sides of either sign."""
+    n = rng.randint(1, 4)
+    a_ub = [[draw(rng) for _ in range(n)] for _ in range(rng.randint(0, 4))]
+    return ([abs(draw(rng)) for _ in range(n)], a_ub,
+            [draw(rng) for _ in a_ub])
+
+
+def _random_primal(rng, draw=lambda rng: F(rng.randint(-3, 3))):
+    """A primal LP of the classical shape: costs of either sign and
+    nonnegative right-hand sides, so x = 0 is feasible."""
+    n = rng.randint(1, 4)
+    a_ub = [[draw(rng) for _ in range(n)] for _ in range(rng.randint(0, 3))]
+    return ([draw(rng) for _ in range(n)], a_ub,
+            [abs(draw(rng)) for _ in a_ub])
+
+
+def test_basic_minimization():
+    primal = ([F(-1), F(-2)], [[1, 1], [1, 0]], [4, 2])
+    assert reference_solve_lp(*primal) == ([F(0), F(4)], -8)
+    # min 4 u1 + 2 u2 subject to u1 + u2 >= 1 and u1 >= 2
+    assert solve_lp(*_dual(*primal)) == ([F(2), F(0)], 8)
+
+
+def test_equality_constraints():
+    # x1 + 2 x2 = 3 as the pair of rows x1 + 2 x2 <= 3 and -x1 - 2 x2 <= -3
+    x, v = solve_lp([F(1), F(1)], [[1, 2], [-1, -2]], [F(3), F(-3)])
+    assert v == F(3, 2) and x == [F(0), F(3, 2)]
+
+
+def test_degenerate_does_not_cycle():
+    # Beale's example cycles under the textbook primal rule; its dual has
+    # zero costs and ties in the dual ratio test, so the dual Bland rule
+    # must terminate on it
+    primal = ([F(-3, 4), F(150), F(-1, 50), F(6)],
+              [[F(1, 4), -60, F(-1, 25), 9],
+               [F(1, 2), -90, F(-1, 50), 3],
+               [0, 0, 1, 0]],
+              [0, 0, 1])
+    assert reference_solve_lp(*primal)[1] == F(-1, 20)
+    dual = _dual(*primal)
+    assert solve_lp(*dual)[1] == F(1, 20)
+    x, value = solve_lp(*dual, tiebreak=_units(3))
+    assert value == F(1, 20) and x == _reference(dual[0], dual, _units(3))[0]
+
+
+def test_infeasible():
+    with pytest.raises(LPError, match="infeasible"):
+        solve_lp([F(0)], [[1], [-1]], [F(1, 2), -2])
+
+
+def test_unbounded():
+    # min -x over x >= 0 is unbounded; a negative cost is rejected, so no
+    # program that solve_lp accepts is unbounded
+    with pytest.raises(LPError):
+        solve_lp([F(-1)], [], [])
+
+
+def test_lexicographically_negative_cost_vectors_are_rejected():
+    # column 0's cost vector is (0, -1): zero cost, negative tie-break
+    with pytest.raises(LPError, match="column 0 .* lexicographically"):
+        solve_lp([0, 1], [[-1, -1]], [-1], tiebreak=[[-1, 0]])
+    with pytest.raises(LPError, match="column 1 .* lexicographically"):
+        solve_lp([0, 0], [[-1, -1]], [-1], tiebreak=[[1, 0], [0, -1]])
+    # a negative entry after a positive one, and an all-zero column, pass
+    assert solve_lp([0, 1, 0], [[-1, -1, 0]], [-1],
+                    tiebreak=[[1, -5, 0]]) == ([F(1), F(0), F(0)], 0)
 
 
 def test_random_lps_match_reference():
     rng = random.Random(20261018)
-    solved = failed = 0
+    outcomes = set()
     for _ in range(400):
+        outcomes.add(_assert_dual_matches(_random_primal(rng)))
         lp = _random_lp(rng)
         got = _outcome(solve_lp, lp)
-        want = _outcome(reference_solve_lp, lp)
+        want = _reference(lp[0], lp)
         assert (got is None) == (want is None), lp
-        if got is None:
-            failed += 1
-            continue
-        solved += 1
-        x, value = got
-        assert value == want[1] and x == want[0], lp
-        _assert_feasible(x, lp)
-        assert sum(a * v for a, v in zip(lp[0], x)) == value
-    assert solved > 50 and failed > 50
+        outcomes.add(got is not None)
+        if got is not None:
+            x, value = got
+            assert value == want[1][0], lp
+            _assert_feasible(x, lp)
+            assert sum(a * v for a, v in zip(lp[0], x)) == value
+            if _unique_optimum(lp):
+                assert x == want[0], lp
+    assert outcomes == {True, False}
 
 
 def test_tiebreak_matches_sequential_fixing():
     rng = random.Random(42)
     for _ in range(300):
         lp = _random_lp(rng)
-        n = len(lp[0])
-        units = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+        units = _units(len(lp[0]))
         got = _outcome(solve_lp, lp, tiebreak=units)
-        want = _outcome(reference_sequential_lex, ([lp[0]] + units,) + lp[1:])
+        want = _reference(lp[0], lp, units)
         assert (got is None) == (want is None), lp
         if got is not None:
             assert got[0] == want[0] and got[1] == want[1][0], lp
 
 
 def test_tiebreak_selects_lex_min_vertex_of_optimal_edge():
-    # every point between (1/2, 3/2) and (3/2, 1/2) minimizes -x1 - x2
-    lp = ([F(-1), F(-1)], [[1, 1], [1, 0], [0, 1]], [2, F(3, 2), F(3, 2)])
-    assert solve_lp(*lp) == ([F(3, 2), F(1, 2)], -2)
+    # every point between (1/2, 3/2) and (3/2, 1/2) minimizes x1 + x2
+    lp = ([F(1), F(1)], [[-1, -1], [1, 0], [0, 1]], [-2, F(3, 2), F(3, 2)])
+    x, value = solve_lp(*lp)
+    assert value == 2 and x in ([F(1, 2), F(3, 2)], [F(3, 2), F(1, 2)])
     e1, e2 = [1, 0], [0, 1]
-    assert solve_lp(*lp, tiebreak=[e1, e2]) == ([F(1, 2), F(3, 2)], -2)
-    assert solve_lp(*lp, tiebreak=[e2, e1]) == ([F(3, 2), F(1, 2)], -2)
-    x, values = reference_sequential_lex([lp[0], e1, e2], *lp[1:])
-    assert x == [F(1, 2), F(3, 2)] and values[0] == -2
+    assert solve_lp(*lp, tiebreak=[e1, e2]) == ([F(1, 2), F(3, 2)], 2)
+    assert solve_lp(*lp, tiebreak=[e2, e1]) == ([F(3, 2), F(1, 2)], 2)
+    x, values = _reference(lp[0], lp, [e1, e2])
+    assert x == [F(1, 2), F(3, 2)] and values[0] == 2
 
 
 def test_infeasible_with_tiebreak():
-    with pytest.raises(LPError):
-        solve_lp([F(0)], [[1]], [F(1, 2)], [[1]], [2], tiebreak=[[F(1)]])
-
-
-def _fraction_lp(rng, draw):
-    n = rng.randint(1, 4)
-    row = lambda: [draw() for _ in range(n)]
-    a_ub = [row() for _ in range(rng.randint(0, 3))]
-    a_eq = [row() for _ in range(rng.randint(0, 2))]
-    return (row(), a_ub, [abs(draw()) for _ in a_ub],
-            a_eq, [draw() for _ in a_eq])
+    with pytest.raises(LPError, match="infeasible"):
+        solve_lp([F(0)], [[1], [-1]], [F(1, 2), -2], tiebreak=[[F(1)]])
 
 
 def _small_fraction(rng):
@@ -146,73 +231,84 @@ def _assert_same_solution(got, want, lp):
         assert type(got[1]) is Fraction
 
 
-def test_fraction_lps_make_the_reference_pivots():
-    # the optimum need not be unique, so equal x means equal pivots
+def test_fraction_lps_match_the_reference():
     rng = random.Random(11)
     outcomes = set()
-    for draw in [_small_fraction] * 400 + [_huge_fraction] * 40:
-        lp = _fraction_lp(rng, lambda: draw(rng))
-        got = _outcome(solve_lp, lp)
-        _assert_same_solution(got, _outcome(reference_solve_lp, lp), lp)
-        outcomes.add(got is None)
+    for draw in [_small_fraction] * 200 + [_huge_fraction] * 20:
+        outcomes.add(_assert_dual_matches(_random_primal(rng, draw)))
+        lp = _random_lp(rng, draw)
+        units = _units(len(lp[0]))
+        got = _outcome(solve_lp, lp, tiebreak=units)
+        want = _reference(lp[0], lp, units)
+        _assert_same_solution(got, want and (want[0], want[1][0]), lp)
+        outcomes.add(got is not None)
     assert outcomes == {True, False}
 
 
-def test_degenerate_ratio_ties_make_the_reference_pivots():
-    # small coefficients and rhs in 0..2 make many ratio-test ties; in a few
-    # of these LPs the lower-basis-index rule decides which optimal vertex
-    # is returned
+def test_degenerate_ratio_ties_match_the_reference():
+    # small coefficients and right-hand sides in -2..2 make many ties in
+    # the dual ratio test and among the rows that may leave; the unit
+    # tie-breaks pin the returned optimum
     rng = random.Random(0)
-    for _ in range(3000):
+    for _ in range(1500):
         n = rng.randint(2, 4)
-        row = lambda: [F(rng.randint(-1, 2)) for _ in range(n)]
-        a_ub = [row() for _ in range(rng.randint(2, 5))]
-        a_eq = [row() for _ in range(rng.randint(0, 1))]
-        lp = ([F(rng.randint(-2, 1)) for _ in range(n)],
-              a_ub, [F(rng.randint(0, 2)) for _ in a_ub],
-              a_eq, [F(rng.randint(0, 2)) for _ in a_eq])
-        _assert_same_solution(_outcome(solve_lp, lp),
-                              _outcome(reference_solve_lp, lp), lp)
+        a_ub = [[F(rng.randint(-1, 2)) for _ in range(n)]
+                for _ in range(rng.randint(2, 5))]
+        lp = ([F(rng.randint(0, 2)) for _ in range(n)], a_ub,
+              [F(rng.randint(-2, 2)) for _ in a_ub])
+        got = _outcome(solve_lp, lp, tiebreak=_units(n))
+        want = _reference(lp[0], lp, _units(n))
+        _assert_same_solution(got, want and (want[0], want[1][0]), lp)
 
 
-def test_tiebreak_stages_make_the_fraction_tableau_pivots():
+def test_fraction_tiebreaks_match_sequential_fixing():
     rng = random.Random(12)
     for i in range(300):
         draw = _huge_fraction if i % 10 == 0 else _small_fraction
-        lp = _fraction_lp(rng, lambda: draw(rng))
-        n = len(lp[0])
-        tiebreak = [[_small_fraction(rng) for _ in range(n)]
-                    for _ in range(rng.randint(1, 3))]
-        _assert_same_solution(
-            _outcome(solve_lp, lp, tiebreak=tiebreak),
-            _outcome(reference_tableau_solve_lp, lp, tiebreak=tiebreak), lp)
+        c, a_ub, b_ub = _random_lp(rng, draw)
+        n = len(c)
+        costs = _lex_nonnegative(
+            [c] + [[_small_fraction(rng) for _ in range(n)]
+                   for _ in range(rng.randint(1, 3))])
+        lp = (costs[0], a_ub, b_ub)
+        got = _outcome(solve_lp, lp, tiebreak=costs[1:])
+        want = _reference(costs[0], lp, costs[1:])
+        assert (got is None) == (want is None), lp
+        if got is not None:
+            x, value = got
+            _assert_feasible(x, lp)
+            assert value == want[1][0], lp
+            assert [sum(a * v for a, v in zip(cost, x))
+                    for cost in costs] == want[1], lp
 
 
 def test_int_fraction_and_mixed_inputs_agree():
     rng = random.Random(13)
     for _ in range(200):
-        lp = _random_lp(rng)
-        as_int = [[int(v) for v in lp[0]]] + [
-            [[int(v) for v in row] for row in part] if i % 2 == 0
-            else [int(v) for v in part]
-            for i, part in enumerate(lp[1:])]
-        mixed = [[v if j % 2 else int(v) for j, v in enumerate(lp[0])]] + \
-            list(lp[1:])
-        want = _outcome(reference_solve_lp, lp)
-        for variant in (lp, as_int, mixed):
-            _assert_same_solution(_outcome(solve_lp, variant), want, lp)
+        c, a_ub, b_ub = lp = _random_lp(rng)
+        as_int = ([int(v) for v in c], [[int(v) for v in row] for row in a_ub],
+                  [int(v) for v in b_ub])
+        mixed = ([v if j % 2 else int(v) for j, v in enumerate(c)], a_ub,
+                 [v if j % 2 else int(v) for j, v in enumerate(b_ub)])
+        want = _outcome(solve_lp, lp, tiebreak=_units(len(c)))
+        reference = _reference(c, lp, _units(len(c)))
+        _assert_same_solution(want, reference and (reference[0],
+                                                   reference[1][0]), lp)
+        for variant in (as_int, mixed):
+            _assert_same_solution(
+                _outcome(solve_lp, variant, tiebreak=_units(len(c))),
+                want, lp)
 
 
 def test_errors_on_fraction_and_huge_inputs():
     big = F(10 ** 12 + 1, 10 ** 12 - 1)
-    with pytest.raises(LPError, match="normalized"):
-        solve_lp([F(1)], [[big]], [-big])
-    with pytest.raises(LPError, match="infeasible"):
-        solve_lp([F(0)], [[big]], [big], [[big]], [2 * big])
-    with pytest.raises(LPError, match="unbounded"):
+    with pytest.raises(LPError, match="lexicographically negative"):
         solve_lp([-big, F(1, 7)], [[F(-1, 3), big]], [big])
-    # a negative equality right-hand side is negated, not rejected
-    assert solve_lp([F(1)], [], [], [[-big]], [-big]) == ([F(1)], F(1))
+    with pytest.raises(LPError, match="infeasible"):
+        solve_lp([F(0)], [[big], [-big]], [big, -2 * big])
+    # a negative right-hand side is part of the contract
+    assert solve_lp([F(1)], [[-big]], [-big]) == ([F(1)], F(1))
+    assert solve_lp([big], [[-1]], [-big]) == ([big], big * big)
 
 
 def test_pivot_keeps_rows_reduced_and_exact():
@@ -240,56 +336,19 @@ def test_pivot_keeps_rows_reduced_and_exact():
                 assert [F(v, dens[r]) for v in rows[r]] == fracs[r]
 
 
-def _reference_with_cuts(c, ub, eq, tiebreak):
-    """(x, value) of a cold solve of all the rows, or None when it raises.
-
-    A <= row with a negative right-hand side becomes an equality row with a
-    surplus variable of its own, which the reference solvers accept."""
-    n = len(c)
-    neg = [(a, b) for a, b in ub if b < 0]
-    pad = lambda row: list(row) + [0] * len(neg)
-    a_ub = [pad(a) for a, b in ub if b >= 0]
-    b_ub = [b for _, b in ub if b >= 0]
-    a_eq = [pad(a) for a, _ in eq] + [
-        list(a) + [int(i == j) for j in range(len(neg))]
-        for i, (a, _) in enumerate(neg)]
-    b_eq = [b for _, b in eq] + [b for _, b in neg]
-    try:
-        if tiebreak:
-            x, values = reference_sequential_lex(
-                [pad(c)] + [pad(t) for t in tiebreak], a_ub, b_ub, a_eq, b_eq)
-            return x[:n], values[0]
-        x, value = reference_solve_lp(pad(c), a_ub, b_ub, a_eq, b_eq)
-        return x[:n], value
-    except LPError:
-        return None
-
-
-def _unique_optimum(c, ub, eq):
-    """Whether the optimal face is one point: its lexicographically
-    smallest and largest points agree."""
-    n = len(c)
-    units = [[int(i == j) for j in range(n)] for i in range(n)]
-    lo = _reference_with_cuts(c, ub, eq, units)
-    hi = _reference_with_cuts(c, ub, eq, [[-v for v in u] for u in units])
-    return lo == hi
-
-
 def _cut_lp(rng):
     """A bounded LP split into initial rows and a hidden pool of rows."""
     n = rng.randint(2, 4)
     row = lambda: [rng.randint(-3, 3) for _ in range(n)]
     bound = rng.randint(1, 6)
-    ub = [([1] * n, bound)] + [(row(), rng.randint(0, 4))
+    ub = [([1] * n, bound)] + [(row(), rng.randint(-2, 4))
                                for _ in range(rng.randint(0, 2))]
-    eq = [([rng.randint(0, 2) for _ in range(n)], rng.randint(0, 3))
-          for _ in range(rng.random() < 0.3)]
-    pool = [(row(), rng.randint(-1, 5)) for _ in range(rng.randint(1, 6))]
-    return [rng.randint(-3, 3) for _ in range(n)], ub, eq, pool, bound
+    pool = [(row(), rng.randint(-3, 5)) for _ in range(rng.randint(1, 6))]
+    return [rng.randint(0, 3) for _ in range(n)], ub, pool, bound
 
 
 def test_separate_matches_a_cold_solve_of_all_the_rows(monkeypatch):
-    seen = {"dual pivots": 0, "one row": 0, "several rows": 0,
+    seen = {"pivots after a cut": 0, "one row": 0, "several rows": 0,
             "degenerate": 0, "infeasible cut": 0, "infeasible start": 0,
             "solved": 0}
     released = [False]
@@ -297,7 +356,7 @@ def test_separate_matches_a_cold_solve_of_all_the_rows(monkeypatch):
 
     def checked_pivot(rows, dens, basis, row, col):
         pivot(rows, dens, basis, row, col)
-        seen["dual pivots"] += released[0]
+        seen["pivots after a cut"] += released[0]
         for line, den in zip(rows, dens):
             assert den > 0 and gcd(den, *line) == 1
         for r, b in enumerate(basis):
@@ -307,23 +366,23 @@ def test_separate_matches_a_cold_solve_of_all_the_rows(monkeypatch):
     monkeypatch.setattr(simplex, "_pivot", checked_pivot)
     rng = random.Random(20261019)
     for trial in range(200):
-        c, ub, eq, pool, bound = _cut_lp(rng)
+        c, ub, pool, bound = _cut_lp(rng)
         n = len(c)
-        tiebreak = [[int(i == j) for j in range(n)] for i in range(n)] \
-            if trial % 2 else []
+        tiebreak = _units(n) if trial % 2 else []
         infeasible_at = rng.randint(1, 3) if rng.random() < 0.2 else 0
         rows = list(ub)
         calls = [0]
         last = []
 
+        def lp():
+            return c, [a for a, _ in rows], [b for _, b in rows]
+
         def separate(x, value):
-            want = _reference_with_cuts(c, rows, eq, tiebreak)
-            assert want is not None and value == want[1], (c, rows, eq)
-            if tiebreak or _unique_optimum(c, rows, eq):
-                assert x == want[0], (c, rows, eq)
-            _assert_feasible(x, (c, [a for a, _ in rows],
-                                 [b for _, b in rows],
-                                 [a for a, _ in eq], [b for _, b in eq]))
+            want = _reference(c, lp(), tiebreak)
+            assert want is not None and value == want[1][0], lp()
+            if tiebreak or _unique_optimum(lp()):
+                assert x == want[0], lp()
+            _assert_feasible(x, lp())
             calls[0] += 1
             last[:] = x, value
             released[0] = True
@@ -343,11 +402,10 @@ def test_separate_matches_a_cold_solve_of_all_the_rows(monkeypatch):
         released[0] = False
         a_ub = [a for a, _ in ub]
         try:
-            got = solve_lp(c, a_ub, [b for _, b in ub],
-                           [a for a, _ in eq], [b for _, b in eq],
-                           tiebreak=tiebreak, separate=separate)
+            got = solve_lp(c, a_ub, [b for _, b in ub], tiebreak=tiebreak,
+                           separate=separate)
         except LPError:
-            assert _reference_with_cuts(c, rows, eq, tiebreak) is None
+            assert _reference(c, lp(), tiebreak) is None
             seen["infeasible cut" if calls[0] else "infeasible start"] += 1
             continue
         assert not pool and list(got) == last
