@@ -2,9 +2,12 @@
 
 Subcommands mirror the library surface: family enumeration/checks/rank,
 measure computation and validation, norm evaluation, and certificate
-searches.  Artifacts are deterministic JSON (or CSV) embedding the config
-and library version.  Exit codes: 0 success, 1 usage error, 2 a checked
-property was violated, 3 a probe or enumeration bound was exhausted.
+searches.  Artifacts are deterministic JSON embedding the config and
+library version; the commands that build table rows (family enum, ravg
+measure and convolve, certify spreading and ravg) also write CSV.
+``--probe-limit`` bounds every stream a command reads.  Exit codes: 0
+success, 1 usage error, 2 a checked property was violated, 3 a probe or
+enumeration bound was exhausted.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(args, artifact: dict, csv_rows=None) -> None:
-    if getattr(args, "format", "json") == "csv" and csv_rows is not None:
+    if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
         for row in csv_rows:
@@ -64,8 +67,12 @@ def _vectors_arg(text: str):
 # -- family ------------------------------------------------------------------
 
 
+def _family(args):
+    return family_from_spec(parse_arg_json(args.spec), args.probe_limit)
+
+
 def cmd_family_enum(args):
-    fam = family_from_spec(parse_arg_json(args.spec))
+    fam = _family(args)
     members = families.enumerate_restriction(fam, args.n)
     result = {"count": len(members), "members": [list(e) for e in members]}
     rows = [["set"]] + [[" ".join(map(str, e))] for e in members]
@@ -74,7 +81,7 @@ def cmd_family_enum(args):
 
 
 def cmd_family_check(args):
-    fam = family_from_spec(parse_arg_json(args.spec))
+    fam = _family(args)
     report = families.check_regularity(fam, args.n)
     result = {
         "hereditary": report.hereditary,
@@ -90,7 +97,7 @@ def cmd_family_check(args):
 
 
 def cmd_family_cb(args):
-    fam = family_from_spec(parse_arg_json(args.spec))
+    fam = _family(args)
     cb = fam.cb_index()
     result = {"index": ordinals.fmt(cb.value), "exact": cb.exact}
     natural = cb.value.natural()
@@ -163,8 +170,13 @@ def cmd_ravg_fastgrow(args):
 # -- norm --------------------------------------------------------------------
 
 
+def _engine(args):
+    return spaces.engine_from_spec(parse_arg_json(args.engine),
+                                   args.probe_limit)
+
+
 def cmd_norm_eval(args):
-    engine = spaces.engine_from_spec(parse_arg_json(args.engine))
+    engine = _engine(args)
     x = spaces.Vector.from_json(parse_arg_json(args.vector))
     value, cert = engine.norm(x)
     if engine.exact:
@@ -200,7 +212,7 @@ def _cert_json(cert) -> dict:
 
 
 def cmd_norm_quotient(args):
-    engine = spaces.engine_from_spec(parse_arg_json(args.engine))
+    engine = _engine(args)
     if not isinstance(engine, spaces.ExEngine):
         raise UsageError("quotient requires an interval-quotient engine")
     x = spaces.Vector.from_json(parse_arg_json(args.vector))
@@ -213,9 +225,8 @@ def cmd_norm_quotient(args):
 
 
 def _instance(args) -> weaknull.Instance:
-    engine = spaces.engine_from_spec(parse_arg_json(args.engine))
-    vectors = _vectors_arg(args.vectors)
-    return weaknull.Instance(engine=engine, vectors=vectors)
+    return weaknull.Instance(engine=_engine(args),
+                             vectors=_vectors_arg(args.vectors))
 
 
 def cmd_certify_spreading(args):
@@ -275,9 +286,10 @@ def build_parser() -> _Parser:
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(q):
+    def common(q, table=False):
         q.add_argument("--out", help="write the artifact to this path")
-        q.add_argument("--format", choices=("json", "csv"), default="json")
+        q.add_argument("--format", default="json",
+                       choices=("json", "csv") if table else ("json",))
         q.add_argument("--probe-limit", type=int,
                        default=families.DEFAULT_PROBE_LIMIT)
 
@@ -285,7 +297,7 @@ def build_parser() -> _Parser:
     q = fam.add_parser("enum")
     q.add_argument("--spec", required=True)
     q.add_argument("--n", type=int, required=True)
-    common(q)
+    common(q, table=True)
     q.set_defaults(func=cmd_family_enum)
     q = fam.add_parser("check")
     q.add_argument("--spec", required=True)
@@ -302,7 +314,7 @@ def build_parser() -> _Parser:
     q.add_argument("--xi", required=True)
     q.add_argument("--set", required=True)
     q.add_argument("--n", type=int, default=1)
-    common(q)
+    common(q, table=True)
     q.set_defaults(func=cmd_ravg_measure)
     q = rv.add_parser("validate")
     q.add_argument("--xi", required=True)
@@ -315,7 +327,7 @@ def build_parser() -> _Parser:
     q.add_argument("--xi", required=True)
     q.add_argument("--set", required=True)
     q.add_argument("--n", type=int, default=1)
-    common(q)
+    common(q, table=True)
     q.set_defaults(func=cmd_ravg_convolve)
     q = rv.add_parser("fastgrow")
     q.add_argument("--xi", required=True)
@@ -347,7 +359,7 @@ def build_parser() -> _Parser:
     q.add_argument("--n", type=int, default=8)
     q.add_argument("--variant", choices=("plain", "a", "sigma"),
                    default="sigma")
-    common(q)
+    common(q, table=True)
     q.set_defaults(func=cmd_certify_spreading)
     q = ct.add_parser("ravg")
     q.add_argument("--engine", required=True)
@@ -355,7 +367,7 @@ def build_parser() -> _Parser:
     q.add_argument("--xi", required=True)
     q.add_argument("--set", required=True)
     q.add_argument("--depth", type=int, default=2)
-    common(q)
+    common(q, table=True)
     q.set_defaults(func=cmd_certify_ravg)
     q = ct.add_parser("dichotomy")
     q.add_argument("--engine", required=True)

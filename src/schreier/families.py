@@ -670,25 +670,30 @@ def _either(left, right) -> tuple | None:
     return None if left is None and right is None else (left, right)
 
 
-def family_from_spec(spec: dict) -> Family:
-    """Build a Family from its JSON description."""
+def family_from_spec(spec: dict,
+                     probe_limit: int = DEFAULT_PROBE_LIMIT) -> Family:
+    """Build a Family from its JSON description.
+
+    Every ``image`` and ``preimage`` node in it reads its set under the
+    probe budget ``probe_limit``.
+    """
     kind = spec.get("type")
     if kind == "schreier":
         return schreier_family(ordinals.parse(spec["xi"]))
     if kind == "adm":
         return adm_family(int(spec["n"]))
     if kind == "compose":
-        return Compose(family_from_spec(spec["outer"]),
-                       family_from_spec(spec["inner"]))
+        return Compose(family_from_spec(spec["outer"], probe_limit),
+                       family_from_spec(spec["inner"], probe_limit))
     if kind == "image":
-        return Image(family_from_spec(spec["family"]),
-                     set_from_spec(spec["set"]))
+        return Image(family_from_spec(spec["family"], probe_limit),
+                     set_from_spec(spec["set"]), probe_limit)
     if kind == "preimage":
-        return Preimage(family_from_spec(spec["family"]),
-                        set_from_spec(spec["set"]))
+        return Preimage(family_from_spec(spec["family"], probe_limit),
+                        set_from_spec(spec["set"]), probe_limit)
     if kind == "union":
-        return UnionFamily(family_from_spec(spec["left"]),
-                           family_from_spec(spec["right"]))
+        return UnionFamily(family_from_spec(spec["left"], probe_limit),
+                           family_from_spec(spec["right"], probe_limit))
     if kind == "empty":
         return EmptyFamily()
     if kind == "singleton-empty":
@@ -845,16 +850,17 @@ def feasible_depth(m: LazySet, fam: Family, max_depth: int,
     return max_depth
 
 
-def enumerate_restriction(fam: Family, n: int,
-                          enum_limit: int = DEFAULT_ENUM_LIMIT) -> list[FinSet]:
+def enumerate_restriction(fam: Family, n: int) -> list[FinSet]:
     """All members within {1..n}, in colex order.
 
     Complete for hereditary families: every member is reached from the
-    empty set by adding elements in increasing order.
+    empty set by adding elements in increasing order.  Raises
+    EnumerationLimitError when n exceeds ``DEFAULT_ENUM_LIMIT``.
     """
-    if n > enum_limit:
+    if n > DEFAULT_ENUM_LIMIT:
         raise EnumerationLimitError(
-            f"restriction bound {n} exceeds enumeration limit {enum_limit}")
+            f"restriction bound {n} exceeds enumeration limit "
+            f"{DEFAULT_ENUM_LIMIT}")
     out = enumerate_within(fam, range(1, n + 1), 2 ** n)
     out.sort(key=lambda e: tuple(reversed(e)))
     return out
@@ -880,10 +886,10 @@ def enumerate_within(fam: Family, candidates, limit: int = 10 ** 5) -> list[FinS
     return out
 
 
-def truncation_maximal(fam: Family, n: int,
-                       enum_limit: int = DEFAULT_ENUM_LIMIT) -> list[FinSet]:
-    """Nonempty members of the {1..n} truncation with no extension in range."""
-    members = enumerate_restriction(fam, n, enum_limit)
+def truncation_maximal(fam: Family, n: int) -> list[FinSet]:
+    """Nonempty members of the {1..n} truncation with no extension in
+    range, in colex order; n is bounded as in ``enumerate_restriction``."""
+    members = enumerate_restriction(fam, n)
     out = []
     for e in members:
         if not e:
@@ -906,15 +912,15 @@ class RegularityReport:
         return self.hereditary and self.spreading
 
 
-def check_regularity(fam: Family, n: int,
-                     enum_limit: int = DEFAULT_ENUM_LIMIT) -> RegularityReport:
+def check_regularity(fam: Family, n: int) -> RegularityReport:
     """Verify hereditariness and spreading on the {1..n} truncation.
 
     Drop-one subsets witness hereditariness; single +1 increments witness
     spreading, since any in-range spread is a chain of such increments.
-    Compactness is not decidable from a truncation.
+    Compactness is not decidable from a truncation.  n is bounded as in
+    ``enumerate_restriction``.
     """
-    members = enumerate_restriction(fam, n, enum_limit)
+    members = enumerate_restriction(fam, n)
     report = RegularityReport(hereditary=True, spreading=True)
     for e in members:
         for i in range(len(e)):
@@ -941,9 +947,12 @@ def cb_probe_rank(e, fam: Family, n: int) -> int:
     """Bounded probe rank of e inside the {1..n} truncation.
 
     For a hereditary family the extension recursion's value equals the size
-    of the largest extension set; for a spreading family that maximum is
-    attained by a right-packed block of consecutive integers, making the
-    scan quadratic in n instead of exponential.  Families not spreading by
+    of the largest extension set.  For a spreading family that maximum is
+    attained by a block of consecutive integers ending at n: any extension
+    spreads to one, since a block ending before n moves right.  Dropping a
+    block's first point keeps it admissible by hereditariness, so the
+    admissible lengths are an initial segment, and one scan over the
+    lengths makes O(n) membership calls.  Families not spreading by
     construction (images, ad hoc sets) fall back to the literal recursion.
     """
     e = check_finset(e)
@@ -966,25 +975,20 @@ def cb_probe_rank(e, fam: Family, n: int) -> int:
 
         return rank(e)
     best = 0
-    for end in range(floor + 1, n + 1):
-        j = best + 1
-        while end - j + 1 > floor:
-            block = tuple(range(end - j + 1, end + 1))
-            if not fam.contains(e + block):
-                break
-            best = j
-            j += 1
+    while n - best > floor and \
+            fam.contains(e + tuple(range(n - best, n + 1))):
+        best += 1
     return best
 
 
-def check_limit_inclusion(lam: Ordinal, n: int, bound: int,
-                          enum_limit: int = DEFAULT_ENUM_LIMIT) -> list[FinSet]:
+def check_limit_inclusion(lam: Ordinal, n: int, bound: int) -> list[FinSet]:
     """Counterexamples to stage(n)+1 <= stage(n+1) nesting on a truncation.
 
     The limit levels are built from the canonical fundamental sequence;
-    whether consecutive stages nest is probed, not assumed.
+    whether consecutive stages nest is probed, not assumed.  The
+    truncation {1..bound} is bounded as in ``enumerate_restriction``.
     """
     stage_n = schreier_family(ordinals.add(ordinals.fund_seq(lam, n), ONE))
     stage_next = schreier_family(ordinals.fund_seq(lam, n + 1))
-    return [e for e in enumerate_restriction(stage_n, bound, enum_limit)
+    return [e for e in enumerate_restriction(stage_n, bound)
             if not stage_next.contains(e)]

@@ -3,7 +3,8 @@
 Every ordinal here is a finite sum  w^e1 * c1 + ... + w^ek * ck  with
 strictly decreasing ordinal exponents and positive integer coefficients.
 The representation is unique, so structural equality is ordinal equality.
-Representable ordinals are capped by an exponent-tower depth (default 16).
+Representable ordinals are capped by an exponent-tower depth of
+``DEFAULT_DEPTH_LIMIT`` (16).
 """
 
 from __future__ import annotations
@@ -124,10 +125,10 @@ def depth(a: Ordinal) -> int:
     return 1 + max(depth(e) for e, _ in a.terms)
 
 
-def _check_depth(a: Ordinal, depth_limit: int) -> Ordinal:
-    if depth(a) > depth_limit:
+def _check_depth(a: Ordinal) -> Ordinal:
+    if depth(a) > DEFAULT_DEPTH_LIMIT:
         raise OrdinalDepthError(
-            f"ordinal exceeds tower depth limit {depth_limit}")
+            f"ordinal exceeds tower depth limit {DEFAULT_DEPTH_LIMIT}")
     return a
 
 
@@ -167,11 +168,11 @@ def mul(a: Ordinal, b: Ordinal) -> Ordinal:
     return out
 
 
-def omega_pow(a: Ordinal, depth_limit: int = DEFAULT_DEPTH_LIMIT) -> Ordinal:
-    """w ** a."""
+def omega_pow(a: Ordinal) -> Ordinal:
+    """w ** a; raises OrdinalDepthError beyond ``DEFAULT_DEPTH_LIMIT``."""
     if a.is_zero:
         return ONE
-    return _check_depth(Ordinal(((a, 1),)), depth_limit)
+    return _check_depth(Ordinal(((a, 1),)))
 
 
 def successor_part(a: Ordinal) -> Ordinal:
@@ -233,10 +234,9 @@ def fmt(a: Ordinal) -> str:
 
 
 class _Parser:
-    def __init__(self, text: str, depth_limit: int):
+    def __init__(self, text: str):
         self.text = text
         self.pos = 0
-        self.depth_limit = depth_limit
 
     def error(self, msg: str):
         raise OrdinalParseError(msg, self.pos)
@@ -275,7 +275,7 @@ class _Parser:
             self.pos += 1
             if self.peek() == "^":
                 self.pos += 1
-                return omega_pow(self.atom(), self.depth_limit)
+                return omega_pow(self.atom())
             return OMEGA
         if ch.isdigit():
             return from_int(self.nat())
@@ -288,7 +288,7 @@ class _Parser:
             self.pos += 1
             if self.peek() == "^":
                 self.pos += 1
-                base = omega_pow(self.atom(), self.depth_limit)
+                base = omega_pow(self.atom())
             else:
                 base = OMEGA
             self.skip_ws()
@@ -310,11 +310,15 @@ class _Parser:
         return val
 
 
-def parse(text: str, depth_limit: int = DEFAULT_DEPTH_LIMIT) -> Ordinal:
-    """Parse an ordinal expression; non-normal forms are normalized."""
-    p = _Parser(text, depth_limit)
+def parse(text: str) -> Ordinal:
+    """Parse an ordinal expression; non-normal forms are normalized.
+
+    Raises OrdinalDepthError when the result, or a power of w built on the
+    way, is deeper than ``DEFAULT_DEPTH_LIMIT``.
+    """
+    p = _Parser(text)
     val = p.expr()
     p.skip_ws()
     if p.pos != len(text):
         p.error("trailing input")
-    return _check_depth(val, depth_limit)
+    return _check_depth(val)

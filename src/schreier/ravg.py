@@ -21,6 +21,9 @@ from .families import (Family, FinSet, LazySet, DEFAULT_PROBE_LIMIT,
                        partition_blocks, partition_indices, schreier_family)
 from .ordinals import Ordinal
 
+# weighted points beyond which fastgrow_check gives up
+SUBSET_CAP = 20
+
 
 @dataclass(frozen=True)
 class Measure:
@@ -209,22 +212,22 @@ def block_validate(block: ProbBlock, samples,
     return report
 
 
-def sufficiency_sup(block: ProbBlock, g: Family, nset: LazySet,
-                    bound: int = 10 ** 5,
-                    probe_limit: int = DEFAULT_PROBE_LIMIT):
+def sufficiency_sup(block: ProbBlock, g: Family, nset: LazySet):
     """Largest g-member mass of the first block measure on nset.
 
     Only members inside the support can carry mass, so this is a finite
-    maximization.  Returns (value, witness set).
+    maximization: ``max_member_sum`` over the support, with the weights
+    scaled to ints, which needs g to have a cursor.  Returns (value,
+    witness set); the witness is the empty set when no member carries mass.
     """
+    if not g.is_spreading_by_construction():
+        raise ValueError(f"{type(g).__name__} has no membership cursor")
     mu = block.measure(nset, 1)
-    best = Fraction(0)
-    witness: FinSet = ()
-    for e in families.enumerate_within(g, mu.support, bound):
-        v = mu.mass_of(e)
-        if v > best:
-            best, witness = v, e
-    return best, witness
+    scale = math.lcm(*(w.denominator for _, w in mu.weights))
+    best, witness = families.max_member_sum(
+        g, mu.support,
+        [w.numerator * (scale // w.denominator) for _, w in mu.weights])
+    return Fraction(best, scale), witness
 
 
 @dataclass
@@ -239,7 +242,7 @@ class FastGrowReport:
 
 
 def fastgrow_check(xi: Ordinal, kset: LazySet, lset: LazySet, eps: Fraction,
-                   n: int, subset_cap: int = 20,
+                   n: int,
                    probe_limit: int = DEFAULT_PROBE_LIMIT) -> FastGrowReport:
     """Desk-scale check of the fast-growing comparison.
 
@@ -247,7 +250,8 @@ def fastgrow_check(xi: Ordinal, kset: LazySet, lset: LazySet, eps: Fraction,
     l_i <= n (strict comparison reported separately), then maximizes the
     accumulated stage-xi mass over all E within {1..n} whose image under
     the k-stream is admissible at stage xi, by ``max_member_sum`` on the
-    images of the weighted points.
+    images of the weighted points.  More than ``SUBSET_CAP`` weighted points
+    raise EnumerationLimitError.
     """
     eps = Fraction(eps)
     checked = []
@@ -266,9 +270,9 @@ def fastgrow_check(xi: Ordinal, kset: LazySet, lset: LazySet, eps: Fraction,
 
     totals = ravg_total_restricted(xi, lset, n, probe_limit)
     points = tuple(sorted(k for k, v in totals.items() if v > 0))
-    if len(points) > subset_cap:
+    if len(points) > SUBSET_CAP:
         raise EnumerationLimitError(
-            f"{len(points)} weighted points exceed subset cap {subset_cap}")
+            f"{len(points)} weighted points exceed subset cap {SUBSET_CAP}")
     with kset.probe_guard(probe_limit):
         images = [kset.value(p) for p in points]
     weights = [totals[p] for p in points]

@@ -17,6 +17,11 @@ from . import families, ordinals
 from .families import LazySet, Schreier, schreier_family, set_from_spec
 from .ordinals import Ordinal, ONE
 
+# fixed-point iterations before ZEngine gives up
+MAX_ITER = 500
+# how far from 1 a block norm may be in lower_l1_margin
+BLOCK_NORM_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class Vector:
@@ -251,7 +256,8 @@ class ExEngine(NormEngine):
 
     Coordinates are folded onto base coordinates through a list of disjoint
     index classes; the norm is the sup of the base norm of the folded
-    restriction over all intervals.
+    restriction over all intervals.  Each class is read under the probe
+    budget ``probe_limit``.
     """
 
     kind = "ex"
@@ -420,8 +426,9 @@ class ZEngine(NormEngine):
     The single full-cover interval makes the defining equation
     self-referential; on a fixed support it reduces to a scalar fixed point
     t = max(c0, sqrt(sum_n max(theta_n t, theta_n V_n)^2)) with contraction
-    factor at most vartheta / sqrt(3), solved by monotone iteration.  Values
-    carry a certified absolute error bound.
+    factor at most vartheta / sqrt(3), solved by monotone iteration; more
+    than ``MAX_ITER`` iterations raise RuntimeError.  Values carry a
+    certified absolute error bound.
     """
 
     kind = "z"
@@ -429,7 +436,7 @@ class ZEngine(NormEngine):
 
     def __init__(self, xi: Ordinal, base: NormEngine,
                  vartheta: Fraction = Fraction(1, 2),
-                 tolerance: float = 1e-12, max_iter: int = 500):
+                 tolerance: float = 1e-12):
         vartheta = Fraction(vartheta)
         if not (0 < vartheta < 1):
             raise ValueError("vartheta must lie in (0, 1)")
@@ -439,7 +446,6 @@ class ZEngine(NormEngine):
         self.base = base
         self.vartheta = vartheta
         self.tolerance = tolerance
-        self.max_iter = max_iter
         self._omega_xi = ordinals.omega_pow(xi)
         self._level_cache: dict[int, Schreier] = {}
 
@@ -525,7 +531,7 @@ class ZEngine(NormEngine):
         stop = self.tolerance / 16
         t = _z_fixed_step(c0, weights2, level_vals, 0.0)
         iterates = [t]
-        for _ in range(self.max_iter):
+        for _ in range(MAX_ITER):
             nxt = _z_fixed_step(c0, weights2, level_vals, t)
             iterates.append(nxt)
             if nxt - t <= stop:
@@ -609,12 +615,12 @@ class ZEngine(NormEngine):
         return best[0], best[1], best[2]
 
 
-def lower_l1_margin(engine: ZEngine, blocks, n: int, f_set, coeffs,
-                    block_norm_tol: float = 1e-6):
+def lower_l1_margin(engine: ZEngine, blocks, n: int, f_set, coeffs):
     """Norm of the combination minus the weighted absolute-sum floor.
 
-    ``blocks`` must be successive normalized vectors; ``f_set`` indexes
-    them and must be admissible at stage n.  Nonnegative up to tolerances.
+    ``blocks`` must be successive vectors of norm 1 within
+    ``BLOCK_NORM_TOL``; ``f_set`` indexes them and must be admissible at
+    stage n.  Nonnegative up to tolerances.
     """
     if not isinstance(engine, ZEngine):
         raise ValueError("the lower bound is specific to the implicit norm")
@@ -632,7 +638,7 @@ def lower_l1_margin(engine: ZEngine, blocks, n: int, f_set, coeffs,
         raise ValueError("index set out of range")
     for i in f_set:
         v = engine.value(blocks[i - 1])
-        if abs(v - 1.0) > block_norm_tol:
+        if abs(v - 1.0) > BLOCK_NORM_TOL:
             raise ValueError(f"block {i} has norm {v}, not 1")
     if not engine.level_family(n).contains(f_set):
         raise ValueError(f"{f_set} is not admissible at stage {n}")
@@ -641,8 +647,14 @@ def lower_l1_margin(engine: ZEngine, blocks, n: int, f_set, coeffs,
     return engine.value(y) - float(engine.level_weight(n)) * float(total)
 
 
-def engine_from_spec(spec: dict) -> NormEngine:
-    """Build a norm engine from its JSON description."""
+def engine_from_spec(spec: dict,
+                     probe_limit: int = families.DEFAULT_PROBE_LIMIT
+                     ) -> NormEngine:
+    """Build a norm engine from its JSON description.
+
+    Every ``ex`` engine in it reads its partition classes under the probe
+    budget ``probe_limit``.
+    """
     kind = spec.get("kind")
     if kind == "ell1":
         return L1Engine()
@@ -653,11 +665,12 @@ def engine_from_spec(spec: dict) -> NormEngine:
     if kind == "mixed":
         return MixedEngine([ordinals.parse(s) for s in spec["xis"]])
     if kind == "ex":
-        return ExEngine(engine_from_spec(spec["base"]),
-                        [set_from_spec(s) for s in spec["partition"]])
+        return ExEngine(engine_from_spec(spec["base"], probe_limit),
+                        [set_from_spec(s) for s in spec["partition"]],
+                        probe_limit)
     if kind == "z":
         return ZEngine(ordinals.parse(spec["xi"]),
-                       engine_from_spec(spec["base"]),
+                       engine_from_spec(spec["base"], probe_limit),
                        Fraction(spec.get("vartheta", "1/2")),
                        float(spec.get("tolerance", 1e-12)))
     if kind == "tree":

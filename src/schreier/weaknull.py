@@ -23,6 +23,11 @@ from .ordinals import Ordinal
 from .simplex import solve_lp
 from .spaces import NormEngine, Vector, combine
 
+# cutting-plane rounds before min_convex gives up
+MAX_ROUNDS = 500
+# the grid step 1/GRID_DENOMINATOR of min_convex on a non-exact engine
+GRID_DENOMINATOR = 12
+
 
 @dataclass(frozen=True)
 class Instance:
@@ -60,8 +65,7 @@ def _norm_signs(f: FinSet, signs) -> tuple:
     return signs
 
 
-def min_convex(inst: Instance, f, signs=None, max_rounds: int = 500,
-               grid_denominator: int = 12) -> MinConvexResult:
+def min_convex(inst: Instance, f, signs=None) -> MinConvexResult:
     """Minimize the norm over the simplex of signed members indexed by f.
 
     Exact engines: cutting planes on one exact LP; terminates because the
@@ -86,8 +90,10 @@ def min_convex(inst: Instance, f, signs=None, max_rounds: int = 500,
     gcd-reduced row (f(v_1), ..., f(v_k), -den) of sum_i f(v_i) x_i <= t,
     and its negation by symmetry of the norm.  A row already present is
     dropped; the violated cut of a round is never one of them, as it exceeds
-    the bound at the candidate, where every present row is within it.
-    Non-exact engines fall back to a grid search with a reported gap bound.
+    the bound at the candidate, where every present row is within it.  A
+    loop of more than ``MAX_ROUNDS`` rounds raises RuntimeError.
+    Non-exact engines fall back to a search of the grid of step
+    1/``GRID_DENOMINATOR`` with a reported gap bound.
     """
     f = check_finset(f)
     if not f:
@@ -97,7 +103,7 @@ def min_convex(inst: Instance, f, signs=None, max_rounds: int = 500,
     signs = _norm_signs(f, signs)
     vecs = inst.signed(f, signs)
     if not inst.engine.exact:
-        return _min_convex_grid(inst, vecs, grid_denominator)
+        return _min_convex_grid(inst, vecs)
 
     support = sorted({k for v in vecs for k in v.support})
     position = {key: p for p, key in enumerate(support)}
@@ -135,7 +141,7 @@ def min_convex(inst: Instance, f, signs=None, max_rounds: int = 500,
     def separate(x, t_star):
         nonlocal rounds, closed
         rounds += 1
-        if rounds > max_rounds:
+        if rounds > MAX_ROUNDS:
             raise RuntimeError("cutting plane loop exceeded its round limit")
         coeffs = tuple(x[:k])
         value, cert = inst.engine.norm(combine(vecs, coeffs))
@@ -161,16 +167,17 @@ def min_convex(inst: Instance, f, signs=None, max_rounds: int = 500,
                            rounds=rounds)
 
 
-def _min_convex_grid(inst, vecs, denominator: int) -> MinConvexResult:
+def _min_convex_grid(inst, vecs) -> MinConvexResult:
     k = len(vecs)
     best = None
-    for comp in _compositions(denominator, k):
-        coeffs = tuple(Fraction(c, denominator) for c in comp)
+    for comp in _compositions(GRID_DENOMINATOR, k):
+        coeffs = tuple(Fraction(c, GRID_DENOMINATOR) for c in comp)
         value = inst.engine.value(combine(vecs, coeffs))
         if best is None or value < best[0]:
             best = (value, coeffs)
     scale = max(float(inst.engine.value(v)) for v in vecs)
-    gap = 2.0 * scale * k / denominator + getattr(inst.engine, "tolerance", 0.0)
+    gap = 2.0 * scale * k / GRID_DENOMINATOR + \
+        getattr(inst.engine, "tolerance", 0.0)
     return MinConvexResult(value=best[0], coefficients=best[1], exact=False,
                            gap_bound=gap)
 
@@ -256,9 +263,17 @@ def spreading_certificate(inst: Instance, xi: Ordinal, eps, bound: int,
                           variant: str = "sigma") -> CertReport:
     """Check that every admissible set in the truncation clears eps.
 
-    Only truncation-maximal sets are evaluated: the signed minimum can only
-    grow when passing to subsets, so they witness the worst margin.
+    The variant is read as in ``f_membership``: plain evaluates the all-plus
+    pattern of a set, sigma every sign pattern, and a every sign pattern,
+    of which the set enters with its best one (the largest minimum, the
+    first among ties), so ``margins`` has one row per set.  Only
+    truncation-maximal sets are evaluated: each pattern's signed minimum,
+    and so a set's best one, can only grow when passing to subsets, so they
+    witness the worst margin.  ``sets_checked`` counts ``min_convex``
+    calls.
     """
+    if variant not in ("plain", "a", "sigma"):
+        raise ValueError(f"unknown variant {variant!r}")
     eps = Fraction(eps)
     if bound > inst.size:
         raise ValueError(f"truncation bound {bound} exceeds the "
@@ -268,13 +283,19 @@ def spreading_certificate(inst: Instance, xi: Ordinal, eps, bound: int,
     checked = 0
     margins = []
     for e in families.truncation_maximal(fam, bound):
-        patterns = _sign_patterns(len(e)) if variant == "sigma" else [(1,) * len(e)]
+        patterns = [(1,) * len(e)] if variant == "plain" \
+            else _sign_patterns(len(e))
+        results = []
         for signs in patterns:
             res = min_convex(inst, e, signs)
             checked += 1
-            margins.append((e, signs, res.value - eps))
-            if worst is None or res.value < worst[0]:
-                worst = (res.value, e, signs, res.coefficients)
+            results.append((res.value, signs, res.coefficients))
+        if variant == "a":
+            results = [max(results, key=lambda r: r[0])]
+        for value, signs, coeffs in results:
+            margins.append((e, signs, value - eps))
+            if worst is None or value < worst[0]:
+                worst = (value, e, signs, coeffs)
     if worst is None:
         raise ValueError("no admissible sets inside the truncation")
     value, e, signs, coeffs = worst

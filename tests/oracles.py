@@ -5,8 +5,11 @@ searched exhaustively, norms are maximized by full enumeration, and convex
 minima come from a one-shot LP over the complete dual description plus
 grid search, solved by a dense tableau of its own that recomputes every
 reduced cost and updates every entry.  Slow and simple on purpose.  The
-library's earlier Fraction tableau is kept as well, to pin the pivots of
-the integer-row tableau that replaced it.
+library's earlier Fraction tableau is kept as well; it serves
+``reference_cutting_plane_min_convex``, the earlier cold cutting-plane
+loop.  The pivots of the library's dual simplex are pinned by
+``reference_dual_bland_pivots``, which follows the rules the ``simplex``
+docstring states on a Fraction tableau of its own.
 """
 
 from __future__ import annotations
@@ -416,8 +419,8 @@ def reference_tableau_solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(),
                                tiebreak=()):
     """The library's earlier Fraction tableau, kept verbatim: the carried
     reduced-cost row and the in-tableau tie-breaking stages of
-    ``solve_lp``, with every entry a Fraction.  Its pivots are the ones the
-    integer-row tableau must make, tie-breaking stages included."""
+    ``solve_lp``, with every entry a Fraction.  It serves
+    ``reference_cutting_plane_min_convex``."""
     n = len(c)
     m1, m2 = len(a_ub), len(a_eq)
     ncols = n + m1 + m2
@@ -475,6 +478,54 @@ def reference_tableau_solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(),
         if b < n:
             x[b] = tableau[r][ncols]
     return x, value
+
+
+def reference_dual_bland_pivots(c, a_ub=(), b_ub=(), tiebreak=()):
+    """The pivots of the lexicographic dual simplex, made by its rules as
+    the ``simplex`` docstring states them, on a Fraction tableau.
+
+    The constraint rows [a | I | b] sit at the slack basis, slack i in
+    column n + i, with the rows [cost | 0 | 0] of c and of each tie-break
+    as objectives.  While a row has a negative right-hand side, the one
+    whose basic column is lowest leaves; among the columns with a negative
+    entry in it, the one whose objective entries over |entry| form the
+    lexicographically smallest vector enters, the lower column on a tie.
+    Returns (pivots, x, value), pivots as (row, column) pairs; x and value
+    are None when a leaving row has no negative entry (infeasible).
+    """
+    n, m = len(c), len(a_ub)
+    rows = [[Fraction(v) for v in coeffs] +
+            [Fraction(int(j == i)) for j in range(m)] + [Fraction(b)]
+            for i, (coeffs, b) in enumerate(zip(a_ub, b_ub))]
+    objectives = [[Fraction(v) for v in cost] + [Fraction(0)] * (m + 1)
+                  for cost in (c, *tiebreak)]
+    basis = list(range(n, n + m))
+    pivots = []
+    while True:
+        negative = [r for r in range(m) if rows[r][-1] < 0]
+        if not negative:
+            break
+        leave = min(negative, key=lambda r: basis[r])
+        line = rows[leave]
+        entering = [j for j in range(n + m) if line[j] < 0]
+        if not entering:
+            return pivots, None, None
+        enter = min(entering, key=lambda j: (
+            [objective[j] / -line[j] for objective in objectives], j))
+        pivots.append((leave, enter))
+        line = [v / line[enter] for v in line]
+        for table in (rows, objectives):
+            for r, other in enumerate(table):
+                factor = other[enter]
+                if factor and other is not rows[leave]:
+                    table[r] = [a - factor * b for a, b in zip(other, line)]
+        rows[leave] = line
+        basis[leave] = enter
+    x = [Fraction(0)] * n
+    for r, b in enumerate(basis):
+        if b < n:
+            x[b] = rows[r][-1]
+    return pivots, x, -objectives[0][-1]
 
 
 def reference_sequential_lex(objectives, a_ub=(), b_ub=(), a_eq=(), b_eq=()):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -276,3 +277,58 @@ def test_norm_quotient_of_an_ex_engine_with_a_mixed_base(capsys):
     assert code == 0
     # odd keys fold onto class 1 and even keys onto class 2
     assert artifact(out)["coords"] == [[1, "43/15"], [2, "-5/4"]]
+
+
+_PREIMAGE = ('{"type":"preimage","family":{"type":"schreier","xi":"1"},'
+             '"set":{"kind":"geom","base":2}}')
+_EX = ('{"kind":"ex","base":{"kind":"ell1"},"partition":['
+       '{"kind":"arith","start":1,"step":2},'
+       '{"kind":"arith","start":2,"step":2}]}')
+
+
+# each digest is the sha256 of the artifact the command wrote before the
+# budget reached image/preimage specs and ex engines, so the default output
+# is pinned byte for byte
+@pytest.mark.parametrize("argv, digest", [
+    (["family", "enum", "--spec", _PREIMAGE, "--n", "6"],
+     "d8dfd74864007f79e44b44605a0686f28321414c2d72d1c5329fc125219598bf"),
+    (["norm", "eval", "--engine", _EX,
+      "--vector", '{"coords":[[9,"1"],[30,"2"]]}'],
+     "5343ea62779abe119047deb734fd8934249e33732fab470c57c1fc32e390608e"),
+    (["certify", "spreading", "--engine", _EX, "--vectors",
+      '[{"coords":[[9,"1"]]},{"coords":[[30,"2"]]}]',
+      "--xi", "0", "--eps", "1", "--n", "2"],
+     "691f39223b706a3daa851c34260f8170fafc466616ce9d84d2af85200fea6dc4"),
+], ids=["preimage", "ex", "certify-ex"])
+def test_probe_limit_bounds_preimage_sets_and_ex_partitions(capsys, argv,
+                                                            digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    code, out, err = run(capsys, *argv, "--probe-limit", "1")
+    assert code == 3 and out == "" and "bound exhausted" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["family", "check", "--spec", "{}", "--n", "4"],
+    ["family", "cb", "--spec", '{"type":"adm","n":4}'],
+    ["ravg", "validate", "--xi", "1", "--sets", "all"],
+    ["ravg", "fastgrow", "--xi", "1", "--k", "all", "--l", "all",
+     "--eps", "1"],
+    ["norm", "eval", "--engine", "{}", "--vector", "{}"],
+    ["norm", "quotient", "--engine", "{}", "--vector", "{}"],
+    ["certify", "dichotomy", "--engine", "{}", "--vectors", "[]",
+     "--xi", "1", "--eps", "1"],
+], ids=lambda argv: " ".join(argv[:2]))
+def test_csv_is_a_usage_error_on_commands_without_table_rows(capsys, argv):
+    # rejected while parsing: the malformed specs are never read
+    code, out, err = run(capsys, *argv, "--format", "csv")
+    assert code == 1 and out == ""
+    assert err.startswith("usage error:") and "--format" in err
+
+
+def test_family_cb_artifact_is_unchanged(capsys):
+    code, out, _ = run(capsys, "family", "cb", "--spec",
+                       '{"type":"adm","n":4}')
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == \
+        "634ad6af77f864caa0c04838eaf139743584f041a002137f00d6d3f6167ae5d1"

@@ -1,18 +1,21 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from schreier import ordinals as o
-from schreier.families import (EmptySetOnly, LazySet, ProbeLimitError,
-                               adm_family, feasible_depth, partition_blocks,
+from schreier.families import (Compose, EmptySetOnly, Image, LazySet,
+                               ProbeLimitError, UnionFamily, adm_family,
+                               feasible_depth, partition_blocks,
                                schreier_family)
 from schreier.ravg import (Measure, ProbBlock, block_validate, canonical_block,
                            convolve, fastgrow_check, ravg_measure,
                            ravg_total_restricted, sufficiency_sup)
 
 from conftest import CURSOR_STAGES, sample_lazy_sets
-from oracles import brute_ravg_measure
+from oracles import (brute_compose_member, brute_ordinal_member,
+                     brute_ravg_measure)
 
 HALF = Fraction(1, 2)
 
@@ -139,6 +142,45 @@ def test_sufficiency_examples():
     v, witness = sufficiency_sup(canonical_block(o.ONE), EmptySetOnly(),
                                  LazySet.naturals())
     assert v == 0 and witness == ()
+
+
+def test_sufficiency_sup_matches_member_enumeration():
+    # membership by exhaustive decomposition, independent of the cursor
+    def stage(text):
+        xi = o.parse(text)
+        return schreier_family(xi), lambda e: brute_ordinal_member(xi, e)
+
+    (s0, in_s0), (s1, in_s1), (s2, in_s2), (sw, in_sw) = map(
+        stage, ("0", "1", "2", "w"))
+    cases = [(adm_family(3), lambda e: len(e) <= 3), (s0, in_s0),
+             (s1, in_s1), (s2, in_s2), (sw, in_sw),
+             (UnionFamily(adm_family(2), s1),
+              lambda e: len(e) <= 2 or in_s1(e)),
+             (Compose(adm_family(2), s0),
+              lambda e: brute_compose_member(lambda m: len(m) <= 2, in_s0,
+                                             e))]
+    rng = random.Random(20261020)
+    for _ in range(30):
+        # supports of at most 9 points: a stage-1 measure from p has p
+        # points, and a stage-2 one from 2 has 2 plus the third value
+        level = rng.choice((0, 1, 1, 2))
+        first = 2 if level == 2 else rng.randint(1, 9)
+        prefix = [first] + sorted(rng.sample(range(first + 1, first + 6), 3))
+        stream = LazySet.from_prefix(prefix, rng.randint(1, 3))
+        xi = o.from_int(level)
+        mu = canonical_block(xi).measure(stream, 1)
+        support = mu.support
+        for fam, member in cases:
+            want = max(mu.mass_of(e) for r in range(len(support) + 1)
+                       for e in itertools.combinations(support, r)
+                       if member(e))
+            v, witness = sufficiency_sup(canonical_block(xi), fam, stream)
+            assert v == want, (fam, prefix)
+            assert member(witness) and mu.mass_of(witness) == v
+    with pytest.raises(ValueError, match="no membership cursor"):
+        sufficiency_sup(canonical_block(o.ONE),
+                        Image(s1, LazySet.arithmetic(1, 2)),
+                        LazySet.naturals())
 
 
 def test_max_weight_bounded_by_min():

@@ -7,7 +7,8 @@ import pytest
 from schreier import simplex
 from schreier.simplex import LPError, solve_lp
 
-from oracles import reference_sequential_lex, reference_solve_lp
+from oracles import (reference_dual_bland_pivots, reference_sequential_lex,
+                     reference_solve_lp)
 
 F = Fraction
 
@@ -259,6 +260,42 @@ def test_degenerate_ratio_ties_match_the_reference():
         got = _outcome(solve_lp, lp, tiebreak=_units(n))
         want = _reference(lp[0], lp, _units(n))
         _assert_same_solution(got, want and (want[0], want[1][0]), lp)
+
+
+def test_pivots_follow_the_dual_bland_rules(monkeypatch):
+    # any valid pivot reaches the unique lex-min optimum, so only the pivot
+    # sequence shows which row leaves and which column enters on a tie
+    made = []
+    pivot = simplex._pivot
+
+    def recording(rows, dens, basis, row, col):
+        made.append((row, col))
+        pivot(rows, dens, basis, row, col)
+
+    monkeypatch.setattr(simplex, "_pivot", recording)
+    beale = _dual([F(-3, 4), F(150), F(-1, 50), F(6)],
+                  [[F(1, 4), -60, F(-1, 25), 9],
+                   [F(1, 2), -90, F(-1, 50), 3],
+                   [0, 0, 1, 0]],
+                  [0, 0, 1])
+    lps = [(beale, ()), (beale, _units(3))]
+    rng = random.Random(20261020)
+    for _ in range(300):
+        n = rng.randint(2, 4)
+        a_ub = [[F(rng.randint(-1, 1)) for _ in range(n)]
+                for _ in range(rng.randint(2, 5))]
+        lps.append((([F(rng.randint(0, 1)) for _ in range(n)], a_ub,
+                     [F(rng.randint(-1, 1)) for _ in a_ub]), _units(n)))
+    outcomes = set()
+    for lp, tiebreak in lps:
+        pivots, x, value = reference_dual_bland_pivots(*lp, tiebreak=tiebreak)
+        made.clear()
+        got = _outcome(solve_lp, lp, tiebreak=tiebreak)
+        assert made == pivots, lp
+        assert got == (None if x is None else (x, value)), lp
+        outcomes.add((got is not None, len(pivots) > 1))
+    assert outcomes == {(True, True), (True, False), (False, True),
+                        (False, False)}
 
 
 def test_fraction_tiebreaks_match_sequential_fixing():

@@ -175,7 +175,7 @@ def test_min_convex_makes_one_lp_and_fewer_pivots(monkeypatch):
 def test_min_convex_z_engine_reports_gap():
     engine = ZEngine(o.ONE, SupEngine(), tolerance=1e-10)
     inst = basis_instance(engine, 4)
-    r = min_convex(inst, (2, 3), grid_denominator=6)
+    r = min_convex(inst, (2, 3))
     assert not r.exact and r.gap_bound > 0
     assert r.value <= 1.0 + 1e-9
 
@@ -237,6 +237,27 @@ def test_spreading_stage_zero_margin():
                                 variant="plain")
     assert rep.worst_margin == Fraction(1, 2) - HALF  # min norm is 1/2
     assert rep.worst_set == (1,)
+
+
+def test_spreading_variant_a_takes_each_sets_best_sign_pattern():
+    # x1 = x2 = e1 and x3 = -e1: x2 + x3 cancels but x2 - x3 does not, so
+    # (2, 3) is an a-member at 1/2 and the certificate passes
+    e1 = Vector.basis(1)
+    inst = Instance(L1Engine(), (e1, e1, e1.scale(-1)))
+    assert f_membership(inst, (2, 3), HALF, "a")
+    rep = spreading_certificate(inst, o.ONE, HALF, 3, variant="a")
+    assert rep.passed and rep.worst_margin == HALF
+    assert rep.margins == [((1,), (1,), HALF), ((3,), (1,), HALF),
+                           ((2, 3), (1, -1), HALF)]
+    assert rep.sets_checked == 4  # one min_convex call per sign pattern
+    plain = spreading_certificate(inst, o.ONE, HALF, 3, variant="plain")
+    assert not plain.passed and plain.worst_margin == -HALF
+    # a tie between the patterns of a set goes to the first
+    rep = spreading_certificate(basis_instance(L1Engine(), 3), o.ONE, HALF,
+                                3, variant="a")
+    assert rep.margins[-1][:2] == ((2, 3), (1, 1))
+    with pytest.raises(ValueError, match="unknown variant"):
+        spreading_certificate(inst, o.ONE, HALF, 3, variant="b")
 
 
 def test_spreading_certificate_bounds():
